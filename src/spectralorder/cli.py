@@ -18,6 +18,10 @@ is isolated under a "timing" key so it can be stripped before comparison.
 Exit codes: 0 evaluation succeeded (regardless of verdicts), 2 usage or
 input error, 3 numerical backend failure, 4 non-convergence. The verify
 subcommand additionally exits 1 when the suite ran but reported failures.
+The codes come from the error classes themselves (see
+:mod:`spectralorder.errors`), so a bad flag value, a non-integer seed
+variable or a non-finite matrix entry exits 2 like any other input error,
+and every failure ends in one ``error:`` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -48,40 +52,16 @@ from .limits import (
     orthogonal_sup,
     power_inf_iterates,
     power_sup_iterates,
+    run_schedule,
 )
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_NO_CONVERGENCE = 4
 
 SEED_ENV_VAR = "SPECTRAL_LATTICE_SEED"
 
-_INPUT_ERRORS = (
-    errors.NonSquareError,
-    errors.NotHermitianError,
-    errors.DimMismatchError,
-    errors.NotProjectionError,
-    errors.EmptySetError,
-    errors.NonPositiveScaleError,
-    errors.DeltaTooLargeError,
-    errors.NotInvertibleError,
-    errors.NotOrthogonalError,
-    errors.TooFewElementsError,
-    errors.NotCommutingError,
-    errors.NotMonotoneError,
-    errors.NotPositiveError,
-    errors.ClassViolationError,
-    errors.InvalidSpecError,
-    errors.UnknownSuiteError,
-    errors.InvalidFamilyError,
-)
 
-_NUMERICAL_ERRORS = (errors.EigenFailureError, errors.InternalLatticeError)
-
-
-class InputError(Exception):
-    """File, parse, or name lookup problem (exit code 2)."""
+class InputError(errors.InvalidInputError):
+    """File, parse, name lookup or environment problem (exit code 2)."""
 
 
 def _matrix_to_doc_entry(name: str, h: HermitianMatrix) -> dict:
@@ -154,10 +134,6 @@ def _tolerances(args) -> Tolerances:
         conv_tol=args.tol_conv,
         max_power_doublings=args.max_doublings,
     )
-
-
-def _schedule(tol: Tolerances) -> PowerSchedule:
-    return PowerSchedule.doubling(tol.max_power_doublings)
 
 
 def _family_summary(h: HermitianMatrix, tol: Tolerances) -> dict:
@@ -250,68 +226,47 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _iterate_with_trace(iterates, sched: PowerSchedule):
-    trace = []
-    prev = None
-    for n, current in iterates:
-        if prev is not None:
-            residual = operator_norm(current - prev)
-            trace.append({"n": n, "residual": residual})
-            if residual < sched.stop_tol * (1.0 + operator_norm(current)):
-                return current, trace
-        prev = current
-    raise errors.NoConvergenceError(
-        "schedule exhausted before the stopping rule was met",
-        last_iterate=None if prev is None else prev.entries,
-        residual=trace[-1]["residual"] if trace else None,
-        trace=[(t["n"], t["residual"]) for t in trace],
-    )
+def _trace_entries(trace: list[tuple[int, float]]) -> list[dict]:
+    return [{"n": n, "residual": r} for n, r in trace]
 
 
 def cmd_limits(args) -> int:
     tol = _tolerances(args)
-    sched = _schedule(tol)
     named = load_document(args.input, tol)
     names = args.names.split(",") if args.names else list(named)
     mats = _pick(named, names)
     start = time.perf_counter()
-    trace: list[dict] = []
-    if args.formula in ("kato", "shifted"):
-        delta = 0.0 if args.formula == "kato" else args.delta
-        try:
-            result, trace = _iterate_with_trace(
-                power_sup_iterates(mats, delta, sched, args.normalize, tol), sched
-            )
-        except errors.NoConvergenceError as exc:
-            return _no_convergence_report(args, exc, start)
-        reference = spectral_sup(mats, tol)
-    elif args.formula == "inverse":
-        try:
-            result, trace = _iterate_with_trace(
-                power_inf_iterates(mats, args.delta, sched, args.normalize, tol), sched
-            )
-        except errors.NoConvergenceError as exc:
-            return _no_convergence_report(args, exc, start)
-        reference = spectral_inf(mats, tol)
-    elif args.formula == "harmonic":
-        if len(mats) != 2:
-            raise InputError("harmonic needs exactly two matrices")
-        try:
-            result, trace = _iterate_with_trace(
-                power_inf_iterates(mats, 0.0, sched, True, tol), sched
-            )
-        except errors.NoConvergenceError as exc:
-            return _no_convergence_report(args, exc, start)
-        reference = spectral_inf(mats, tol)
-    else:  # orthosum
+    trace: list[tuple[int, float]] = []
+    if args.formula == "orthosum":
         result = orthogonal_sup(mats, tol)
         reference = spectral_sup(mats, tol)
+    else:
+        # Run the iterates here rather than through shifted_power_sup or
+        # inverse_power_inf: the report needs the residual trace they drop.
+        sched = PowerSchedule.doubling(tol.max_power_doublings)
+        if args.formula in ("kato", "shifted"):
+            delta = 0.0 if args.formula == "kato" else args.delta
+            iterates = power_sup_iterates(mats, delta, sched, args.normalize, tol)
+            what, lattice_op = "power-mean supremum", spectral_sup
+        elif args.formula == "inverse":
+            iterates = power_inf_iterates(mats, args.delta, sched, args.normalize, tol)
+            what, lattice_op = "power-mean infimum", spectral_inf
+        else:  # harmonic
+            if len(mats) != 2:
+                raise InputError("harmonic needs exactly two matrices")
+            iterates = power_inf_iterates(mats, 0.0, sched, True, tol)
+            what, lattice_op = "power-mean infimum", spectral_inf
+        try:
+            result, trace = run_schedule(iterates, sched, what)
+        except errors.NoConvergenceError as exc:
+            return _no_convergence_report(args, exc, start)
+        reference = lattice_op(mats, tol)
     deviation = operator_norm(result - reference)
     report = {
         "command": "limits",
         "formula": args.formula,
         "names": names,
-        "residual_trace": trace,
+        "residual_trace": _trace_entries(trace),
         "limit_route": _matrix_to_doc_entry("limit", result),
         "lattice_route": _matrix_to_doc_entry("lattice", reference),
         "route_deviation": deviation,
@@ -329,12 +284,12 @@ def _no_convergence_report(args, exc: errors.NoConvergenceError, start: float) -
             "type": "NoConvergence",
             "message": str(exc),
             "residual": exc.residual,
-            "residual_trace": [{"n": n, "residual": r} for n, r in exc.trace],
+            "residual_trace": _trace_entries(exc.trace),
         },
         "timing": {"wall_time_s": time.perf_counter() - start},
     }
     _emit(report, args, stream=sys.stderr if args.format == "text" else sys.stdout)
-    return EXIT_NO_CONVERGENCE
+    return exc.exit_code
 
 
 def cmd_verify(args) -> int:
@@ -378,13 +333,11 @@ def cmd_gen(args) -> int:
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise InputError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -395,7 +348,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
+        default=None,
         help=f"master seed (default from ${SEED_ENV_VAR}, else 0)",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
@@ -459,19 +412,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
+    except (errors.InvalidInputError, errors.NumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except errors.NoConvergenceError as exc:
-        print(f"error: NoConvergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

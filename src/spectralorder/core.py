@@ -10,13 +10,16 @@ safe for concurrent use without locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     DimMismatchError,
     EigenFailureError,
+    EmptySetError,
+    InvalidParameterError,
+    NonFiniteError,
     NonSquareError,
     NotHermitianError,
 )
@@ -68,13 +71,13 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         if not (self.cluster_tol > 0.0):
-            raise ValueError("cluster_tol must be positive")
+            raise InvalidParameterError("cluster_tol must be positive")
         if not (self.conv_tol > 0.0):
-            raise ValueError("conv_tol must be positive")
+            raise InvalidParameterError("conv_tol must be positive")
         if self.psd_tol < 0.0:
-            raise ValueError("psd_tol must be nonnegative")
+            raise InvalidParameterError("psd_tol must be nonnegative")
         if int(self.max_power_doublings) < 1:
-            raise ValueError("max_power_doublings must be a positive integer")
+            raise InvalidParameterError("max_power_doublings must be a positive integer")
 
 
 DEFAULT_TOL = Tolerances()
@@ -158,6 +161,8 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     ------
     NonSquareError
         If the input is not a square 2-d array.
+    NonFiniteError
+        If any entry is NaN or infinite.
     NotHermitianError
         If the asymmetry exceeds the tolerance; the message reports the
         worst entry pair.
@@ -165,6 +170,8 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     a = np.asarray(raw, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("matrix entries must be finite (got NaN or infinity)")
     asym = a - a.conj().T
     worst = np.abs(asym)
     i, j = np.unravel_index(np.argmax(worst), worst.shape)
@@ -188,6 +195,17 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def _check_set(mats: Sequence[HermitianMatrix]) -> int:
+    """Dimension shared by a nonempty set of matrices."""
+    if len(mats) == 0:
+        raise EmptySetError("expected a nonempty set of matrices")
+    dim = mats[0].dim
+    for m in mats:
+        if m.dim != dim:
+            raise DimMismatchError(f"dimensions differ: {m.dim} vs {dim}")
+    return dim
 
 
 def _eigh(a: np.ndarray):

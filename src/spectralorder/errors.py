@@ -1,8 +1,10 @@
 """Exception types raised across the package.
 
-Every failure mode has its own class so callers (and the CLI exit-code
-mapping) can distinguish bad input, numerical backend failure, and
-non-convergence without string matching.
+Every failure mode has its own class, derived from one of two categories
+that carry the CLI exit code: :class:`InvalidInputError` (bad input or a
+violated precondition, exit 2) and :class:`NumericalError` (numerical
+failure, exit 3, or 4 for :class:`NoConvergenceError`). Callers tell
+failures apart without string matching, and the CLI keeps no class list.
 """
 
 from __future__ import annotations
@@ -12,85 +14,106 @@ class SpectralOrderError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInputError(SpectralOrderError):
+    """Base class for bad input and violated preconditions (exit code 2)."""
+
+    exit_code = 2
+
+
+class NumericalError(SpectralOrderError):
+    """Base class for numerical backend failures (exit code 3)."""
+
+    exit_code = 3
+
+
 # --- input / precondition violations ---------------------------------------
 
 
-class NonSquareError(SpectralOrderError):
+class InvalidParameterError(InvalidInputError, ValueError):
+    """A tolerance or schedule parameter is out of range. Also a ValueError,
+    so callers that catch ValueError keep working."""
+
+
+class NonFiniteError(InvalidInputError):
+    """Input entries include NaN or infinity."""
+
+
+class NonSquareError(InvalidInputError):
     """Input array is not a square matrix."""
 
 
-class NotHermitianError(SpectralOrderError):
+class NotHermitianError(InvalidInputError):
     """Input asymmetry exceeds the construction tolerance."""
 
 
-class DimMismatchError(SpectralOrderError):
+class DimMismatchError(InvalidInputError):
     """Operands have different dimensions."""
 
 
-class NotProjectionError(SpectralOrderError):
+class NotProjectionError(InvalidInputError):
     """A matrix claimed to be a projection is not one within tolerance."""
 
 
-class EmptySetError(SpectralOrderError):
+class EmptySetError(InvalidInputError):
     """An operation requiring a nonempty collection received an empty one."""
 
 
-class NonPositiveScaleError(SpectralOrderError):
+class NonPositiveScaleError(InvalidInputError):
     """Affine maps of the order require a strictly positive scale factor."""
 
 
-class DeltaTooLargeError(SpectralOrderError):
+class DeltaTooLargeError(InvalidInputError):
     """Shift exceeds the admissible floor, so a shifted term is not PSD."""
 
 
-class NotInvertibleError(SpectralOrderError):
+class NotInvertibleError(InvalidInputError):
     """A shifted element is not positive invertible within the floor."""
 
 
-class NotOrthogonalError(SpectralOrderError):
+class NotOrthogonalError(InvalidInputError):
     """Elements of a claimed orthogonal family have a nonzero product."""
 
 
-class TooFewElementsError(SpectralOrderError):
+class TooFewElementsError(InvalidInputError):
     """Orthogonal-family formulas require at least two elements."""
 
 
-class NotCommutingError(SpectralOrderError):
+class NotCommutingError(InvalidInputError):
     """A claimed commuting family has a commutator above tolerance."""
 
 
-class NotMonotoneError(SpectralOrderError):
+class NotMonotoneError(InvalidInputError):
     """A claimed monotone chain has an adjacent pair out of order."""
 
 
-class NotPositiveError(SpectralOrderError):
+class NotPositiveError(InvalidInputError):
     """An operand required to be positive semidefinite is not."""
 
 
-class ClassViolationError(SpectralOrderError):
+class ClassViolationError(InvalidInputError):
     """An input does not belong to the operator class it was claimed in."""
 
 
-class InvalidSpecError(SpectralOrderError):
+class InvalidSpecError(InvalidInputError):
     """Instance-generator specification is malformed."""
 
 
-class UnknownSuiteError(SpectralOrderError):
+class UnknownSuiteError(InvalidInputError):
     """Requested verification suite id does not exist."""
 
 
-class InvalidFamilyError(SpectralOrderError):
+class InvalidFamilyError(InvalidInputError):
     """A spectral family violates monotonicity or does not end at the identity."""
 
 
 # --- numerical failures ------------------------------------------------------
 
 
-class EigenFailureError(SpectralOrderError):
+class EigenFailureError(NumericalError):
     """The eigensolver backend did not converge."""
 
 
-class InternalLatticeError(SpectralOrderError):
+class InternalLatticeError(NumericalError):
     """A lattice construction produced a non-monotone projection family.
 
     This indicates a tolerance misconfiguration rather than bad input, so it
@@ -98,12 +121,14 @@ class InternalLatticeError(SpectralOrderError):
     """
 
 
-class NoConvergenceError(SpectralOrderError):
+class NoConvergenceError(NumericalError):
     """An iteration hit its cap before meeting the stopping criterion.
 
     Carries the last iterate and residual so callers can still compare it
-    against the lattice-route answer.
+    against the lattice-route answer. Exit code 4.
     """
+
+    exit_code = 4
 
     def __init__(self, message, last_iterate=None, residual=None, trace=None):
         super().__init__(message)

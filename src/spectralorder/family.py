@@ -20,7 +20,7 @@ the cluster width and ten times it, can flip a verdict either way; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "reconstruct",
     "spectral_leq",
     "range_defect",
-    "merged_breakpoints",
     "borderline_gap",
 ]
 
@@ -108,6 +107,13 @@ def range_defect(p: Projection, q: Projection) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _clusters(vals: np.ndarray, width: float) -> list[tuple[int, int]]:
+    """Index ranges [start, end) of the runs of ascending ``vals`` whose
+    consecutive gaps are at most ``width``."""
+    ends = [int(i) for i in np.flatnonzero(np.diff(vals) > width) + 1] + [vals.size]
+    return list(zip([0] + ends[:-1], ends))
+
+
 def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
     """Merge sorted values whose consecutive gaps are below ``width``.
 
@@ -117,13 +123,7 @@ def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         return vals
-    reps = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > width:
-            reps.append(float(np.mean(vals[start:i])))
-            start = i
-    return np.asarray(reps)
+    return np.asarray([float(np.mean(vals[a:b])) for a, b in _clusters(vals, width)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +170,11 @@ def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> Spe
     """
     es = eigensystem(h)
     w, u = es.eigenvalues, es.eigenvectors
-    reps = []
-    projections = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > tol.cluster_tol:
-            reps.append(float(np.mean(w[start:i])))
-            projections.append(Projection.onto(u[:, :i], h.dim))
-            start = i
-    return SpectralFamily(np.asarray(reps), tuple(projections))
+    runs = _clusters(w, tol.cluster_tol)
+    return SpectralFamily(
+        np.asarray([float(np.mean(w[a:b])) for a, b in runs]),
+        tuple(Projection.onto(u[:, :b], h.dim) for _, b in runs),
+    )
 
 
 def _value_at(sf: SpectralFamily, lam: float, slack: float) -> Projection:
@@ -217,12 +213,6 @@ def reconstruct(sf: SpectralFamily, tol: Tolerances = DEFAULT_TOL) -> HermitianM
         out += lam * (p.entries - prev)
         prev = p.entries
     return HermitianMatrix(out)
-
-
-def merged_breakpoints(mats: Iterable[HermitianMatrix], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Clustered union of the eigenvalues of all matrices."""
-    all_vals = np.concatenate([eigensystem(m).eigenvalues for m in mats])
-    return cluster_values(all_vals, tol.cluster_tol)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,13 @@ from .core import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
+    _check_set,
     eigensystem,
     identity,
     operator_norm,
 )
 from .errors import (
     ClassViolationError,
-    DimMismatchError,
-    EmptySetError,
     InternalLatticeError,
     NonPositiveScaleError,
 )
@@ -54,16 +53,6 @@ __all__ = [
     "affine_image",
     "OPERATOR_CLASSES",
 ]
-
-
-def _check_set(mats: Sequence[HermitianMatrix]) -> int:
-    if len(mats) == 0:
-        raise EmptySetError("expected a nonempty set of matrices")
-    dim = mats[0].dim
-    for m in mats:
-        if m.dim != dim:
-            raise DimMismatchError(f"dimensions differ: {m.dim} vs {dim}")
-    return dim
 
 
 def lattice_family(

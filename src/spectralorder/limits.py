@@ -44,8 +44,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    EigenSystem,
     HermitianMatrix,
     Tolerances,
+    _check_set,
     eigensystem,
     identity,
     negative_part,
@@ -54,9 +56,8 @@ from .core import (
 )
 from .errors import (
     DeltaTooLargeError,
-    DimMismatchError,
     EigenFailureError,
-    EmptySetError,
+    InvalidParameterError,
     NoConvergenceError,
     NotInvertibleError,
     NotOrthogonalError,
@@ -65,6 +66,7 @@ from .errors import (
 
 __all__ = [
     "PowerSchedule",
+    "run_schedule",
     "delta_floor",
     "shifted_power_sup",
     "inverse_power_inf",
@@ -102,13 +104,13 @@ class PowerSchedule:
 
     def __post_init__(self) -> None:
         if len(self.exponents) == 0:
-            raise ValueError("schedule needs at least one exponent")
+            raise InvalidParameterError("schedule needs at least one exponent")
         if self.exponents[0] < 1:
-            raise ValueError("exponents must be positive integers")
+            raise InvalidParameterError("exponents must be positive integers")
         if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):
-            raise ValueError("exponents must be strictly increasing")
+            raise InvalidParameterError("exponents must be strictly increasing")
         if not (self.stop_tol > 0.0):
-            raise ValueError("stop_tol must be positive")
+            raise InvalidParameterError("stop_tol must be positive")
 
     @classmethod
     def doubling(cls, max_doublings: int = 48, stop_tol: float = 1e-9) -> "PowerSchedule":
@@ -119,21 +121,15 @@ def _default_schedule(tol: Tolerances) -> PowerSchedule:
     return PowerSchedule.doubling(tol.max_power_doublings)
 
 
-def _check_set(mats: Sequence[HermitianMatrix]) -> int:
-    if len(mats) == 0:
-        raise EmptySetError("expected a nonempty set of matrices")
-    dim = mats[0].dim
-    for m in mats:
-        if m.dim != dim:
-            raise DimMismatchError(f"dimensions differ: {m.dim} vs {dim}")
-    return dim
+def _floor(systems: Sequence[EigenSystem]) -> float:
+    return min(float(es.eigenvalues[0]) for es in systems)
 
 
 def delta_floor(mats: Sequence[HermitianMatrix]) -> float:
     """Largest admissible downward shift: the smallest eigenvalue over the set
     (equivalently the smallest spectral-family breakpoint of any element)."""
     _check_set(mats)
-    return min(float(eigensystem(m).eigenvalues[0]) for m in mats)
+    return _floor([eigensystem(m) for m in mats])
 
 
 def _graded_root_pairs(
@@ -222,11 +218,21 @@ def _assemble(dim: int, pairs: list[tuple[float, np.ndarray]]) -> np.ndarray:
     return a
 
 
-def _run_schedule(
+def run_schedule(
     iterates: Iterator[tuple[int, HermitianMatrix]],
     sched: PowerSchedule,
     what: str,
-) -> HermitianMatrix:
+) -> tuple[HermitianMatrix, list[tuple[int, float]]]:
+    """Run iterates until the Cauchy stopping rule of ``sched`` holds.
+
+    Returns the limit and the residual trace [(n, ||A_n - A_prev||), ...].
+
+    Raises
+    ------
+    NoConvergenceError
+        If the iterates run out first; the error carries the last iterate
+        and the residual trace.
+    """
     prev: HermitianMatrix | None = None
     current: HermitianMatrix | None = None
     residual = math.inf
@@ -236,7 +242,7 @@ def _run_schedule(
             residual = operator_norm(current - prev)
             trace.append((n, residual))
             if residual < sched.stop_tol * (1.0 + operator_norm(current)):
-                return current
+                return current, trace
         prev = current
     raise NoConvergenceError(
         f"{what} did not meet the stopping rule within the exponent schedule "
@@ -257,12 +263,14 @@ def power_sup_iterates(
 ) -> Iterator[tuple[int, HermitianMatrix]]:
     """Yield (n, delta I + (sum_x (x - delta I)^n / c)^(1/n)) along the schedule.
 
-    This is the trace surface behind :func:`shifted_power_sup`; the CLI uses
-    it to report per-exponent residuals.
+    This is the trace surface behind :func:`shifted_power_sup`; the CLI runs
+    it through :func:`run_schedule` to report per-exponent residuals.
     """
     dim = _check_set(mats)
-    floor = delta_floor(mats)
-    slack = tol.psd_tol * (1.0 + max(operator_norm(m) for m in mats))
+    systems = [eigensystem(m) for m in mats]
+    floor = _floor(systems)
+    norm = max(float(np.max(np.abs(es.eigenvalues))) for es in systems)
+    slack = tol.psd_tol * (1.0 + norm)
     if delta is None:
         delta = floor
     if delta > floor + slack:
@@ -271,10 +279,7 @@ def power_sup_iterates(
             "a shifted element would not be positive semidefinite"
         )
     sched = sched or _default_schedule(tol)
-    shifted = []
-    for m in mats:
-        es = eigensystem(m)
-        shifted.append((np.maximum(es.eigenvalues - delta, 0.0), es.eigenvectors))
+    shifted = [(np.maximum(es.eigenvalues - delta, 0.0), es.eigenvectors) for es in systems]
     scale, logs, vecs = _psd_factors(shifted, dim)
     shift = delta * identity(dim)
     for n in sched.exponents:
@@ -307,9 +312,10 @@ def shifted_power_sup(
         error carries the last iterate and residual trace.
     """
     sched = sched or _default_schedule(tol)
-    return _run_schedule(
+    limit, _ = run_schedule(
         power_sup_iterates(mats, delta, sched, normalize, tol), sched, "power-mean supremum"
     )
+    return limit
 
 
 def power_inf_iterates(
@@ -321,11 +327,11 @@ def power_inf_iterates(
 ) -> Iterator[tuple[int, HermitianMatrix]]:
     """Yield (n, -delta I + (sum_x (x + delta I)^(-n) / c)^(-1/n))."""
     dim = _check_set(mats)
+    systems = [eigensystem(m) for m in mats]
     if delta is None:
-        delta = max(0.0, 1.0 - delta_floor(mats))
+        delta = max(0.0, 1.0 - _floor(systems))
     inverted = []
-    for i, m in enumerate(mats):
-        es = eigensystem(m)
+    for i, es in enumerate(systems):
         lam_min = float(es.eigenvalues[0]) + delta
         if lam_min < INVERTIBILITY_FLOOR:
             raise NotInvertibleError(
@@ -362,9 +368,10 @@ def inverse_power_inf(
     dynamic range of the inverted family.
     """
     sched = sched or _default_schedule(tol)
-    return _run_schedule(
+    limit, _ = run_schedule(
         power_inf_iterates(mats, delta, sched, normalize, tol), sched, "power-mean infimum"
     )
+    return limit
 
 
 def harmonic_pair_inf(
@@ -388,13 +395,10 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
         raise TooFewElementsError(
             "orthogonal-family formulas need at least two elements"
         )
-    worst = (0, 1, 0.0)
     norms = [operator_norm(m) for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             prod = float(np.linalg.norm(mats[i].entries @ mats[j].entries, 2))
-            if prod > worst[2]:
-                worst = (i, j, prod)
             if prod > 1e-10 * (1.0 + norms[i] * norms[j]):
                 raise NotOrthogonalError(
                     f"elements {i} and {j} are not orthogonal: ||x y|| = {prod:.3e}"

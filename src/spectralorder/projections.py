@@ -1,10 +1,13 @@
 """Meets and joins in the projection lattice of a matrix algebra.
 
-The meet of projections is the projection onto the intersection of their
-ranges, computed as the top eigenspace of their sum: the sum of k
-projections attains eigenvalue k exactly on vectors fixed by all of them.
-The join goes through complements, reusing the meet machinery instead of
-orthonormalizing a spanning set in a second code path.
+Meet and join read the same eigendecomposition of the sum of the k
+projections, whose eigenvalues lie in [0, k]. The meet, the projection onto
+the intersection of the ranges, is the eigenspace at eigenvalue k: the sum
+attains k exactly on vectors fixed by all of the projections. The join, the
+projection onto the span of the ranges, is the range of the sum: the
+eigenspace of the eigenvalues above zero. Both cut with the same slack, so
+the join is the complement of the meet of the complements without computing
+either.
 """
 
 from __future__ import annotations
@@ -46,29 +49,33 @@ def proj_leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> boo
     return range_defect(p, q) <= 10.0 * tol.psd_tol
 
 
-def proj_meet(ps: Sequence[Projection], tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Projection onto the intersection of the ranges.
-
-    Computed as the eigenspace of sum(p_i) at eigenvalue k = len(ps):
-    eigenvalues of the sum lie in [0, k], and any deficit below k is
-    spectral (a nonzero principal angle), not roundoff, for generic inputs.
-    """
+def _sum_eigh(
+    ps: Sequence[Projection], tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Validate, then eigendecompose sum(p_i): (eigenvalues, eigenvectors,
+    dim, slack). An eigenvalue within ``slack`` of k or of zero counts as
+    k or zero; any larger deficit is spectral (a nonzero principal angle),
+    not roundoff, for generic inputs."""
     dim = _check_projections(ps, tol)
-    k = len(ps)
     total = np.zeros((dim, dim), dtype=np.complex128)
     for p in ps:
         total += p.entries
     w, u = np.linalg.eigh((total + total.conj().T) / 2.0)
-    threshold = k - min(0.5, k * tol.cluster_tol)
-    cols = u[:, w > threshold]
-    return Projection.onto(cols, dim)
+    return w, u, dim, min(0.5, len(ps) * tol.cluster_tol)
+
+
+def proj_meet(ps: Sequence[Projection], tol: Tolerances = DEFAULT_TOL) -> Projection:
+    """Projection onto the intersection of the ranges: the eigenspace of
+    sum(p_i) at eigenvalue k = len(ps)."""
+    w, u, dim, slack = _sum_eigh(ps, tol)
+    return Projection.onto(u[:, w > len(ps) - slack], dim)
 
 
 def proj_join(ps: Sequence[Projection], tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Projection onto the span of the ranges: I - meet of the complements."""
-    _check_projections(ps, tol)
-    meet_of_complements = proj_meet([p.complement() for p in ps], tol)
-    return meet_of_complements.complement()
+    """Projection onto the span of the ranges: the range of sum(p_i), i.e.
+    its eigenspace for eigenvalues above the slack."""
+    w, u, dim, slack = _sum_eigh(ps, tol)
+    return Projection.onto(u[:, w > slack], dim)
 
 
 def alternating_meet_oracle(

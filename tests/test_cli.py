@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder.cli import main
+from spectralorder import errors
+from spectralorder.cli import main, matrices_to_document
 
 
 FIXTURE = {
@@ -138,6 +139,17 @@ class TestLimits:
         )
         assert code == 2
 
+    def test_no_convergence_exit_four(self, tmp_path, capsys):
+        mats = so.gen_instances(so.InstanceSpec(dim=4, seed=3, kind="positive", count=2))
+        path = tmp_path / "pos.json"
+        path.write_text(json.dumps(matrices_to_document([("m0", mats[0]), ("m1", mats[1])])))
+        code, rep = run(
+            capsys, "limits", "--input", str(path), "--formula", "kato", "--max-doublings", "3"
+        )
+        assert code == 4
+        assert rep["error"]["type"] == "NoConvergence"
+        assert [t["n"] for t in rep["error"]["residual_trace"]] == [2, 4, 8]
+
     def test_harmonic_pair(self, fixture_path, capsys):
         code, rep = run(
             capsys, "limits", "--input", fixture_path, "--names", "a,b",
@@ -213,6 +225,45 @@ class TestGen:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i], 2) < 1e-10
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, first, seed_var",
+        [
+            (["limits", "--formula", "kato", "--tol-cluster", "0"], "[[1, 0], [0, 3]]", None),
+            (["limits", "--formula", "kato", "--tol-psd", "-1"], "[[1, 0], [0, 3]]", None),
+            (["limits", "--formula", "kato", "--max-doublings", "0"], "[[1, 0], [0, 3]]", None),
+            (["compare", "--names", "a,b"], "[[1, 0], [0, 3]]", "seven"),
+            (["compare", "--names", "a,b"], "[[NaN, 0], [0, 3]]", None),
+            (["lattice", "--mode", "sup"], "[[1, 0], [0, Infinity]]", None),
+        ],
+        ids=["tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf"],
+    )
+    def test_exit_two_without_traceback(self, tmp_path, capsys, monkeypatch, command, first, seed_var):
+        path = tmp_path / "doc.json"
+        path.write_text(
+            '{"format_version": "1", "dim": 2, "matrices": ['
+            f'{{"name": "a", "re": {first}}}, {{"name": "b", "re": [[2, 0], [0, 2]]}}]}}'
+        )
+        if seed_var is not None:
+            monkeypatch.setenv("SPECTRAL_LATTICE_SEED", seed_var)
+        code = main([*command, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_every_error_class_has_an_exit_code(self):
+        classes = [
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.SpectralOrderError)
+        ]
+        concrete = [c for c in classes if c is not errors.SpectralOrderError]
+        assert len(concrete) > 20
+        for c in concrete:
+            assert issubclass(c, (errors.InvalidInputError, errors.NumericalError)), c
+        assert errors.NoConvergenceError.exit_code == 4
 
 
 class TestTextFormat:

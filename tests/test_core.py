@@ -35,6 +35,12 @@ class TestMakeHermitian:
         with pytest.raises(errors.NonSquareError):
             so.make_hermitian([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        # checked before the asymmetry test, which NaN comparisons pass
+        with pytest.raises(errors.NonFiniteError):
+            so.make_hermitian([[bad, 0], [0, 1]])
+
     def test_symmetrization_idempotent_exactly(self):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

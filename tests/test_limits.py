@@ -80,6 +80,12 @@ class TestShiftedPowerSup:
             if n >= 8:
                 break
 
+    def test_no_convergence_carries_last_iterate(self):
+        with pytest.raises(errors.NoConvergenceError) as exc:
+            so.shifted_power_sup(gen(3, count=2), sched=PowerSchedule.doubling(3))
+        assert isinstance(exc.value.last_iterate, so.HermitianMatrix)
+        assert [n for n, _ in exc.value.trace] == [2, 4, 8]
+
     def test_rejects_delta_above_floor(self):
         with pytest.raises(errors.DeltaTooLargeError):
             so.shifted_power_sup([A13, B22], delta=1.5)

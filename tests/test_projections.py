@@ -37,9 +37,18 @@ class TestProjLeq:
 
         assert range_defect(P_E1, P_DIAGLINE) == pytest.approx(1 / np.sqrt(2))
 
-    def test_rejects_non_projection(self):
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda p, q: so.proj_leq(p, q),
+            lambda p, q: so.proj_meet([p, q]),
+            lambda p, q: so.proj_join([p, q]),
+        ],
+        ids=["proj_leq", "proj_meet", "proj_join"],
+    )
+    def test_rejects_non_projection(self, op):
         with pytest.raises(errors.NotProjectionError):
-            so.proj_leq(so.Projection(h([[0.5, 0], [0, 0]])), P_E1)
+            op(so.Projection(h([[0.5, 0], [0, 0]])), P_E1)
 
     def test_dim_mismatch(self):
         with pytest.raises(errors.DimMismatchError):
