@@ -90,7 +90,9 @@ class HermitianMatrix:
     The constructor symmetrizes: the stored array is (A + A*)/2, so the
     entries are exactly Hermitian no matter what was passed in. Use
     :func:`make_hermitian` to reject inputs whose asymmetry exceeds a
-    tolerance instead of silently averaging it away.
+    tolerance instead of silently averaging it away. Non-finite entries
+    raise :class:`NonFiniteError` on every construction path, arithmetic
+    that overflows included.
     """
 
     entries: np.ndarray
@@ -101,7 +103,11 @@ class HermitianMatrix:
             raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise NonSquareError("dimension must be at least 1")
-        a = (a + a.conj().T) / 2.0
+        if not np.isfinite(a).all():
+            raise NonFiniteError("matrix entries must be finite (got NaN or infinity)")
+        # Halving first keeps entries near the float maximum finite; in the
+        # normal range it rounds exactly like (a + a*) / 2.
+        a = 0.5 * a + 0.5 * a.conj().T
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

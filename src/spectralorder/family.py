@@ -15,6 +15,19 @@ breakpoint sitting a rounding error above the merged representative is
 still counted. Borderline spectra, where some eigenvalue gap falls between
 the cluster width and ten times it, can flip a verdict either way; see
 :func:`borderline_gap`, which the CLI uses to flag such comparisons.
+
+Internally a family is kept compact, as its eigenvector matrix U plus the
+cumulative rank at each breakpoint: the value at a breakpoint with rank r
+is the projection onto the first r columns of U. No dense projection is
+formed to compare two families. The range defect ||p - q p|| of the values
+with ranks r_y (of y) and r_x (of x) is the 2-norm of the block
+G[r_x:, :r_y] of the cross-Gram matrix G = U_x* U_y, computed once. Every
+block's Frobenius norm, an upper bound on its 2-norm, comes from one 2-d
+cumulative sum of |G|^2, so a comparison costs one eigendecomposition per
+operand, one matrix product, and an SVD only for the blocks whose
+Frobenius norm exceeds the threshold. :func:`spectral_family_of` turns the
+compact form into the public :class:`SpectralFamily` of dense projections
+for callers that ask for one.
 """
 
 from __future__ import annotations
@@ -107,11 +120,12 @@ def range_defect(p: Projection, q: Projection) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _clusters(vals: np.ndarray, width: float) -> list[tuple[int, int]]:
-    """Index ranges [start, end) of the runs of ascending ``vals`` whose
-    consecutive gaps are at most ``width``."""
-    ends = [int(i) for i in np.flatnonzero(np.diff(vals) > width) + 1] + [vals.size]
-    return list(zip([0] + ends[:-1], ends))
+def _clusters(vals: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives (means) and end indices of the runs of ascending,
+    nonempty ``vals`` whose consecutive gaps are at most ``width``."""
+    ends = np.append(np.flatnonzero(np.diff(vals) > width) + 1, vals.size)
+    starts = np.concatenate(([0], ends[:-1]))
+    return np.add.reduceat(vals, starts) / np.diff(ends, prepend=0), ends
 
 
 def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
@@ -123,7 +137,7 @@ def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         return vals
-    return np.asarray([float(np.mean(vals[a:b])) for a, b in _clusters(vals, width)])
+    return _clusters(vals, width)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +175,31 @@ class SpectralFamily:
         return self.projections[0].dim
 
 
+@dataclass(frozen=True, eq=False)
+class _CompactFamily:
+    """A spectral family as ``(breakpoints, vectors, ranks)``: its value on
+    [breakpoints[i], breakpoints[i+1]) is the projection onto
+    ``vectors[:, :ranks[i]]``."""
+
+    breakpoints: np.ndarray
+    vectors: np.ndarray
+    ranks: np.ndarray
+
+    def ranks_at(self, lams: np.ndarray, slack: float) -> np.ndarray:
+        """Rank of the family's value at each of ``lams``, counting
+        breakpoints up to ``lam + slack``; zero below the first."""
+        idx = np.searchsorted(self.breakpoints, lams + slack, side="right")
+        return np.concatenate(([0], self.ranks))[idx]
+
+
+def _compact_family(h: HermitianMatrix, tol: Tolerances) -> _CompactFamily:
+    """Eigendecompose h once and merge eigenvalues within ``cluster_tol``
+    to their mean."""
+    es = eigensystem(h)
+    reps, ends = _clusters(es.eigenvalues, tol.cluster_tol)
+    return _CompactFamily(reps, es.eigenvectors, ends)
+
+
 def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralFamily:
     """Build the spectral family of h.
 
@@ -168,27 +207,27 @@ def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> Spe
     mean, and the cumulative projection at each representative sums the
     eigenprojections of every eigenvalue at or below it.
     """
-    es = eigensystem(h)
-    w, u = es.eigenvalues, es.eigenvectors
-    runs = _clusters(w, tol.cluster_tol)
+    cf = _compact_family(h, tol)
     return SpectralFamily(
-        np.asarray([float(np.mean(w[a:b])) for a, b in runs]),
-        tuple(Projection.onto(u[:, :b], h.dim) for _, b in runs),
+        cf.breakpoints,
+        tuple(Projection.onto(cf.vectors[:, :r], h.dim) for r in cf.ranks),
     )
-
-
-def _value_at(sf: SpectralFamily, lam: float, slack: float) -> Projection:
-    """Family value at lam, counting breakpoints up to ``lam + slack``."""
-    idx = int(np.searchsorted(sf.breakpoints, lam + slack, side="right")) - 1
-    if idx < 0:
-        return Projection.zero(sf.dim)
-    return sf.projections[idx]
 
 
 def evaluate_at(sf: SpectralFamily, lam: float) -> Projection:
     """Right-continuous step evaluation: the projection at the largest
     breakpoint <= lam, zero below the first breakpoint."""
-    return _value_at(sf, float(lam), 0.0)
+    idx = int(np.searchsorted(sf.breakpoints, float(lam), side="right")) - 1
+    if idx < 0:
+        return Projection.zero(sf.dim)
+    return sf.projections[idx]
+
+
+def _screened_norm(block: np.ndarray, thr: float) -> float:
+    """2-norm of ``block``, or its Frobenius norm (an upper bound) when
+    that is already at most ``thr``, so no SVD is spent on small blocks."""
+    fro = float(np.linalg.norm(block))
+    return fro if fro <= thr else float(np.linalg.norm(block, 2))
 
 
 def reconstruct(sf: SpectralFamily, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -245,22 +284,25 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     breakpoint grid and checks E^y_lambda <= E^x_lambda there. Checking the
     grid suffices: both families are right-continuous step functions and
     constant between merged breakpoints. On failure the verdict reports the
-    smallest failing breakpoint and the defect ||p - q p||.
+    smallest failing breakpoint and the defect ||p - q p||, read off the
+    cross-Gram matrix of the two eigenbases (see the module docstring).
     """
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
-    sf_x = spectral_family_of(x, tol)
-    sf_y = spectral_family_of(y, tol)
-    grid = cluster_values(
-        np.concatenate([sf_x.breakpoints, sf_y.breakpoints]), tol.cluster_tol
-    )
+    fx = _compact_family(x, tol)
+    fy = _compact_family(y, tol)
+    grid = cluster_values(np.concatenate([fx.breakpoints, fy.breakpoints]), tol.cluster_tol)
+    rx = fx.ranks_at(grid, tol.cluster_tol)
+    ry = fy.ranks_at(grid, tol.cluster_tol)
+    g = fx.vectors.conj().T @ fy.vectors
+    # fro2[i, j] = ||g[i:, :j]||_F^2, summed from the bottom-left corner.
+    fro2 = np.zeros((x.dim + 1, x.dim + 1))
+    fro2[:-1, 1:] = np.cumsum(np.cumsum(np.abs(g[::-1]) ** 2, axis=0)[::-1], axis=1)
     thr = 10.0 * tol.psd_tol
-    for lam in grid:
-        p = _value_at(sf_y, float(lam), tol.cluster_tol)
-        q = _value_at(sf_x, float(lam), tol.cluster_tol)
-        defect = range_defect(p, q)
+    for i in np.flatnonzero(fro2[rx, ry] > thr * thr):
+        defect = float(np.linalg.norm(g[rx[i]:, : ry[i]], 2))
         if defect > thr:
-            return OrderVerdict(holds=False, witness_lambda=float(lam), defect=defect)
+            return OrderVerdict(holds=False, witness_lambda=float(grid[i]), defect=defect)
     return OrderVerdict(holds=True)
 
 

@@ -7,6 +7,20 @@ right continuous, so the pointwise formulas reconstruct the answers exactly
 up to clustering. The right-continuity regularization needed for infinite
 sets is a structural no-op here; a debug assertion verifies step constancy
 at interval midpoints.
+
+Both constructions run on the compact form of the input families (their
+eigenvectors and cumulative ranks, see :mod:`spectralorder.family`). At a
+grid point with input ranks (r_1, ..., r_k) the sum of the input values is
+sum_i U_i[:, :r_i] U_i[:, :r_i]*, one matrix product of the stacked
+columns; its eigenvalues lie in [0, k], and the meet (join) is the span of
+the eigenvectors whose eigenvalue is within the slack of k (above the
+slack), as in :func:`spectralorder.projections.proj_meet`. The inputs are
+checked once, for orthonormal eigenvectors, instead of being re-validated as
+projections at every grid point. The cost is one eigendecomposition per
+input and one per grid point, plus, for the monotonicity check between
+consecutive grid points, a matrix product whose exact 2-norm (an SVD) is
+taken only when its Frobenius norm exceeds the threshold. Dense
+projections are formed only at the rank jumps of the answer.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from .core import (
     HermitianMatrix,
     Tolerances,
     _check_set,
+    _eigh,
     eigensystem,
     identity,
     operator_norm,
@@ -33,15 +48,18 @@ from .errors import (
 from .family import (
     Projection,
     SpectralFamily,
-    _value_at,
+    _compact_family,
+    _screened_norm,
     cluster_values,
     is_projection,
-    range_defect,
     reconstruct,
-    spectral_family_of,
     spectral_leq,
 )
-from .projections import proj_join, proj_meet
+
+# Not called here: the lattice route computes meets and joins on the compact
+# form. The names stay bound because the benchmark's tracer tests install
+# and remove wrappers on ``lattice.proj_meet``.
+from .projections import proj_join, proj_meet  # noqa: F401
 
 __all__ = [
     "spectral_sup",
@@ -69,42 +87,65 @@ def lattice_family(
     Raises
     ------
     InternalLatticeError
-        If the pointwise lattice values are not monotone within tolerance.
+        If an input's eigenvectors are not orthonormal within cluster_tol,
+        or the pointwise lattice values are not monotone within tolerance.
         That signals a tolerance misconfiguration and is never repaired by
         re-sorting.
     """
     dim = _check_set(mats)
-    families = [spectral_family_of(m, tol) for m in mats]
+    families = [_compact_family(m, tol) for m in mats]
+    # Orthonormal eigenvectors make every cut of them a projection, so the
+    # values built from them need no validation of their own.
+    eye = np.eye(dim)
+    for i, f in enumerate(families):
+        if np.linalg.norm(f.vectors.conj().T @ f.vectors - eye) > tol.cluster_tol:
+            raise InternalLatticeError(
+                f"eigenvectors of input {i} are not orthonormal within cluster_tol"
+            )
     grid = cluster_values(
         np.concatenate([f.breakpoints for f in families]), tol.cluster_tol
     )
-    combine = proj_meet if mode == "sup" else proj_join
-    values: list[Projection] = []
-    for lam in grid:
-        at = [_value_at(f, float(lam), tol.cluster_tol) for f in families]
-        values.append(combine(at, tol))
+    slack = min(0.5, len(mats) * tol.cluster_tol)
+    cut = len(mats) - slack if mode == "sup" else slack
+
+    def combine(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvectors of the sum of the input values at ``ranks`` and the
+        mask of those spanning their meet (sup) or join (inf)."""
+        cols = np.concatenate([f.vectors[:, :r] for f, r in zip(families, ranks)], axis=1)
+        w, v = _eigh(cols @ cols.conj().T)
+        return v, w > cut
+
+    def ranks_at(lams: np.ndarray, reach: float) -> np.ndarray:
+        return np.stack([f.ranks_at(lams, reach) for f in families], axis=1)
+
+    grid_ranks = ranks_at(grid, tol.cluster_tol)
+    values = [combine(r) for r in grid_ranks]
 
     thr = 10.0 * tol.psd_tol
-    for a, b in zip(values, values[1:]):
-        if range_defect(a, b) > thr:
+    for (va, ma), (vb, mb) in zip(values, values[1:]):
+        defect = _screened_norm(vb[:, ~mb].conj().T @ va[:, ma], thr)
+        if defect > thr:
             raise InternalLatticeError(
-                f"{mode} family lost monotonicity (defect {range_defect(a, b):.3e}); "
+                f"{mode} family lost monotonicity (defect {defect:.3e}); "
                 "check cluster_tol/psd_tol against the input spectra"
             )
-    if range_defect(Projection.identity(dim), values[-1]) > thr:
+    if not values[-1][1].all():
         raise InternalLatticeError(f"{mode} family does not terminate at the identity")
 
     if __debug__:
         # Step constancy between grid points (the finite-set shadow of the
         # right-continuity regularization). Skip near-merged gaps where the
-        # evaluation slack could legitimately cross a breakpoint.
-        for i in range(len(grid) - 1):
-            if grid[i + 1] - grid[i] < 10.0 * tol.cluster_tol:
-                continue
-            mid = 0.5 * (grid[i] + grid[i + 1])
-            at_mid = combine([_value_at(f, mid, 0.0) for f in families], tol)
+        # evaluation slack could legitimately cross a breakpoint, and
+        # midpoints where every input has the grid point's rank, since the
+        # value there is the same computation.
+        mid_ranks = ranks_at(0.5 * (grid[:-1] + grid[1:]), 0.0)
+        wide = np.diff(grid) >= 10.0 * tol.cluster_tol
+        for i in np.flatnonzero(wide & np.any(mid_ranks != grid_ranks[:-1], axis=1)):
+            vm, mm = combine(mid_ranks[i])
+            v, m = values[i]
+            # Equal-rank projections p, q have ||p - q|| = ||(1 - q) p||.
             assert (
-                float(np.linalg.norm(at_mid.entries - values[i].entries, 2)) <= thr
+                mm.sum() == m.sum() and _screened_norm(v[:, ~m].conj().T @ vm[:, mm], thr) <= thr
             ), "lattice family is not constant between merged breakpoints"
 
     # Keep only rank jumps; equal ranks in a monotone chain mean equal
@@ -112,11 +153,12 @@ def lattice_family(
     breakpoints: list[float] = []
     projections: list[Projection] = []
     prev_rank = 0
-    for lam, p in zip(grid, values):
-        if p.rank > prev_rank:
+    for lam, (v, m) in zip(grid, values):
+        rank = int(m.sum())
+        if rank > prev_rank:
             breakpoints.append(float(lam))
-            projections.append(p)
-            prev_rank = p.rank
+            projections.append(Projection.onto(v[:, m], dim))
+            prev_rank = rank
     return SpectralFamily(np.asarray(breakpoints), tuple(projections))
 
 

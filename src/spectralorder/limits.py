@@ -86,6 +86,8 @@ _ACTIVE_WINDOW = 37.0  # ~16 decades: factors further below the window top
 #                        are invisible to a double-precision sum anyway
 _KEEP_RATIO = 1e-8  # retained eigenvalues keep >= 8 relative digits
 _RESIDUAL_CLAMP = 1e-12  # residual norms at rounding scale count as consumed
+_FRO_MARGIN = 1.0 + 1e-9  # lifts a computed Frobenius norm above any
+#                           computed 2-norm of the same matrix
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,13 @@ def run_schedule(
         if prev is not None:
             residual = operator_norm(current - prev)
             trace.append((n, residual))
-            if residual < sched.stop_tol * (1.0 + operator_norm(current)):
+            # ||A_n|| <= ||A_n||_F: a residual at or above the threshold
+            # taken with the Frobenius norm (widened past its roundoff)
+            # cannot stop the run, so the exact norm is skipped.
+            fro = _FRO_MARGIN * float(np.linalg.norm(current.entries))
+            if residual < sched.stop_tol * (1.0 + fro) and residual < sched.stop_tol * (
+                1.0 + operator_norm(current)
+            ):
                 return current, trace
         prev = current
     raise NoConvergenceError(

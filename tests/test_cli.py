@@ -80,6 +80,7 @@ class TestLattice:
         got = np.asarray(doc["matrices"][0]["re"])
         assert np.allclose(got, np.diag([2.0, 3.0]), atol=1e-9)
         assert rep["result_family"]["breakpoints"] == pytest.approx([2.0, 3.0])
+        assert rep["result_family"]["ranks"] == [1, 2]
 
     def test_inf_of_projection_pair_is_zero(self, fixture_path, capsys):
         code, rep = run(
@@ -88,6 +89,8 @@ class TestLattice:
         assert code == 0
         got = np.asarray(rep["result_document"]["matrices"][0]["re"])
         assert np.allclose(got, 0.0, atol=1e-9)
+        # one breakpoint, at 0, carrying both dimensions
+        assert rep["result_family"]["ranks"] == [2]
 
     def test_singleton_echo(self, fixture_path, capsys):
         code, rep = run(

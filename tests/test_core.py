@@ -184,6 +184,33 @@ class TestTolerances:
             so.Tolerances(**kwargs)
 
 
+class TestBareConstructorNonFinite:
+    """The constructor itself rejects NaN and infinity, so no operation can
+    reach a verdict on such a matrix, whichever way it was built."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(errors.NonFiniteError):
+            so.HermitianMatrix(np.array([[bad, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "op",
+        [so.spectral_leq, lambda x, y: so.spectral_sup([x, y]), so.loewner_leq],
+        ids=["spectral_leq", "spectral_sup", "loewner_leq"],
+    )
+    def test_operations_raise(self, op, bad):
+        raw = np.array([[bad, 0], [0, 1]])
+        with pytest.raises(errors.NonFiniteError):
+            op(so.HermitianMatrix(raw), so.HermitianMatrix(raw))
+
+    def test_overflowing_arithmetic_raises(self):
+        big = so.HermitianMatrix(np.array([[1e308, 1e308], [1e308, -1e308]]))
+        assert np.array_equal(big.entries, [[1e308, 1e308], [1e308, -1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.NonFiniteError):
+            big * 10.0
+
+
 class TestArithmetic:
     def test_add_sub_scale(self):
         a = h([[1, 0], [0, 2]])

@@ -167,6 +167,98 @@ class TestSpectralLeq:
         assert so.operator_norm(back - m) < 1e-9
 
 
+def dense_leq(x, y, tol=so.DEFAULT_TOL):
+    """Reference for spectral_leq: the dense family values on the merged
+    grid and the defect ||p - q p|| of each pair of them."""
+    sf_x, sf_y = so.spectral_family_of(x, tol), so.spectral_family_of(y, tol)
+    grid = cluster_values(
+        np.concatenate([sf_x.breakpoints, sf_y.breakpoints]), tol.cluster_tol
+    )
+    for lam in grid:
+        p = so.evaluate_at(sf_y, lam + tol.cluster_tol).entries
+        q = so.evaluate_at(sf_x, lam + tol.cluster_tol).entries
+        defect = float(np.linalg.norm(p - q @ p, 2))
+        if defect > 10.0 * tol.psd_tol:
+            return False, float(lam), defect
+    return True, None, None
+
+
+def seeded_pairs():
+    for seed in range(6):
+        for kind in ("generic", "positive", "projection"):
+            dim = 3 + seed
+            x, r = so.gen_instances(so.InstanceSpec(dim=dim, seed=seed, kind=kind, count=2))
+            half = 0.5 * so.identity(dim)
+            yield x, so.spectral_sup([x, r])
+            yield so.spectral_inf([x, r]), x
+            yield x, x + half
+            yield x, r
+            yield r, x
+            yield x, x - half
+
+
+def rotated(dim, plane, angle):
+    """diag(1, ..., dim) with its eigenbasis turned by ``angle`` in the
+    coordinate plane (plane, plane + 1)."""
+    u = np.eye(dim)
+    c, s = np.cos(angle), np.sin(angle)
+    u[plane : plane + 2, plane : plane + 2] = [[c, -s], [s, c]]
+    return so.HermitianMatrix(u @ np.diag(np.arange(1.0, dim + 1)) @ u.T)
+
+
+class TestCompactComparison:
+    def test_matches_dense_reference(self):
+        outcomes = set()
+        for x, y in seeded_pairs():
+            v = so.spectral_leq(x, y)
+            holds, witness, defect = dense_leq(x, y)
+            outcomes.add(holds)
+            assert v.holds == holds
+            assert v.witness_lambda == witness
+            if not holds:
+                assert abs(v.defect - defect) <= 1e-12
+        assert outcomes == {True, False}
+
+    def test_holding_pair_needs_no_exact_norm(self, monkeypatch):
+        # Every block of a holding pair is roundoff, so the Frobenius screen
+        # settles each grid point without an SVD.
+        x, r = so.gen_instances(so.InstanceSpec(dim=16, seed=8, kind="generic", count=2))
+        top = so.spectral_sup([x, r])
+        exact = []
+        norm = np.linalg.norm
+
+        def counting_norm(a, ord=None, **kwargs):
+            if ord == 2:
+                exact.append(a.shape)
+            return norm(a, ord, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        assert so.spectral_leq(x, top).holds
+        assert so.spectral_leq(r, top).holds
+        assert exact == []
+
+    @pytest.mark.parametrize(
+        "angle, psd_tol, holds",
+        [
+            (1.2e-8, 1e-9, False),
+            (0.8e-8, 1e-9, True),
+            (1e-7, 0.99e-8, False),
+            (1e-7, 1.01e-8, True),
+        ],
+    )
+    def test_violation_next_to_threshold(self, angle, psd_tol, holds):
+        # x = diag(1..6); y turns the eigenvectors of 3 and 4 by ``angle``,
+        # so the only violation is at lambda = 3, with defect sin(angle),
+        # one block of the cross-Gram matrix beside blocks of exact zeros.
+        tol = so.Tolerances(psd_tol=psd_tol)
+        v = so.spectral_leq(rotated(6, 0, 0.0), rotated(6, 2, angle), tol)
+        assert v.holds == holds
+        assert dense_leq(rotated(6, 0, 0.0), rotated(6, 2, angle), tol)[0] == holds
+        if not holds:
+            assert v.witness_lambda == pytest.approx(3.0)
+            assert abs(v.defect - np.sin(angle)) <= 1e-12
+
+
 class TestBorderline:
     def test_flags_gap_inside_band(self):
         x = h(np.diag([0.0, 5e-8]))

@@ -3,6 +3,8 @@ import pytest
 
 import spectralorder as so
 from spectralorder import errors
+from spectralorder import family, lattice, projections
+from spectralorder.family import cluster_values
 
 
 def h(rows):
@@ -89,6 +91,74 @@ class TestLatticeProperties:
         pj, qj = so.Projection(p), so.Projection(q)
         assert so.operator_norm(so.spectral_sup([p, q]) - so.proj_join([pj, qj]).matrix) < 1e-8
         assert so.operator_norm(so.spectral_inf([p, q]) - so.proj_meet([pj, qj]).matrix) < 1e-8
+
+
+class TestLatticeFamily:
+    @pytest.mark.parametrize("kind", ["generic", "positive", "projection", "commuting_family"])
+    @pytest.mark.parametrize("mode", ["sup", "inf"])
+    def test_nested_rising_to_identity(self, kind, mode):
+        for seed in range(3):
+            mats = gen(seed, dim=6, kind=kind, count=3)
+            sf = lattice.lattice_family(mats, mode)
+            ranks = [p.rank for p in sf.projections]
+            assert all(a < b for a, b in zip(ranks, ranks[1:]))
+            for p in sf.projections:
+                assert so.is_projection(p.matrix)
+            for a, b in zip(sf.projections, sf.projections[1:]):
+                assert family.range_defect(a, b) <= 1e-12
+            assert np.allclose(sf.projections[-1].entries, np.eye(6), atol=1e-12)
+
+
+    def test_checks_input_eigenbases_once(self):
+        # Roundoff in the eigenvectors exceeds a cluster_tol of 1e-18.
+        with pytest.raises(errors.InternalLatticeError, match="orthonormal"):
+            lattice.lattice_family(gen(2, dim=8, count=2), "sup", so.Tolerances(cluster_tol=1e-18))
+
+
+class TestCostModel:
+    """Call counts of the compact lattice route; nothing here is timed."""
+
+    def test_one_eigh_per_input_and_per_grid_point(self, monkeypatch):
+        mats = gen(5, dim=16, count=3)
+        tol = so.DEFAULT_TOL
+        families = [so.spectral_family_of(m, tol) for m in mats]
+        grid = cluster_values(
+            np.concatenate([f.breakpoints for f in families]), tol.cluster_tol
+        )
+
+        def ranks(lam, slack):
+            return [so.evaluate_at(f, lam + slack).rank for f in families]
+
+        # Midpoints of wide gaps where some input changes rank are the only
+        # ones the step-constancy check recomputes.
+        recomputed = sum(
+            ranks(0.5 * (a + b), 0.0) != ranks(a, tol.cluster_tol)
+            for a, b in zip(grid, grid[1:])
+            if b - a >= 10.0 * tol.cluster_tol
+        )
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        so.spectral_sup(mats)
+        assert len(calls) == len(mats) + len(grid) + recomputed
+
+    def test_lattice_family_never_revalidates_projections(self, monkeypatch):
+        calls = []
+
+        def counting_is_projection(*args, **kwargs):
+            calls.append(1)
+            return True
+
+        for module in (family, lattice, projections):
+            monkeypatch.setattr(module, "is_projection", counting_is_projection)
+        for mode in ("sup", "inf"):
+            lattice.lattice_family(gen(6, dim=16, count=3), mode)
+        assert calls == []
 
 
 class TestOrderBounds:
