@@ -37,7 +37,7 @@ import numpy as np
 
 from . import errors
 from .core import HermitianMatrix, Tolerances, loewner_leq, make_hermitian, operator_norm
-from .family import _compact_family, borderline_gap, spectral_leq
+from .family import borderline_gap, spectral_family_of, spectral_leq
 from .harness import (
     INSTANCE_KINDS,
     SUITE_IDS,
@@ -137,10 +137,10 @@ def _tolerances(args) -> Tolerances:
 
 
 def _family_summary(h: HermitianMatrix, tol: Tolerances) -> dict:
-    cf = _compact_family(h, tol)
+    sf = spectral_family_of(h, tol)
     return {
-        "breakpoints": [float(b) for b in cf.breakpoints],
-        "ranks": [int(r) for r in cf.ranks],
+        "breakpoints": [float(b) for b in sf.breakpoints],
+        "ranks": [int(r) for r in sf.ranks],
     }
 
 

@@ -156,7 +156,8 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     ----------
     raw : array_like
         Square complex array. The worst asymmetry max|a_ij - conj(a_ji)|
-        must not exceed ``tol.cluster_tol``.
+        must not exceed ``tol.cluster_tol * max(1, max|a_ij|)``, so the
+        tolerance follows the entry scale and roundoff is never rejected.
 
     Returns
     -------
@@ -181,10 +182,11 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     asym = a - a.conj().T
     worst = np.abs(asym)
     i, j = np.unravel_index(np.argmax(worst), worst.shape)
-    if worst[i, j] > tol.cluster_tol:
+    limit = tol.cluster_tol * max(1.0, float(np.max(np.abs(a))))
+    if worst[i, j] > limit:
         raise NotHermitianError(
             f"asymmetry {worst[i, j]:.3e} at entries ({i},{j})/({j},{i}) "
-            f"exceeds tolerance {tol.cluster_tol:.3e}"
+            f"exceeds tolerance {limit:.3e}"
         )
     return HermitianMatrix(a)
 
@@ -217,14 +219,14 @@ def _check_set(mats: Sequence[HermitianMatrix]) -> int:
 def _eigh(a: np.ndarray):
     try:
         return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+    except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigendecomposition did not converge: {exc}") from exc
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+    except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigenvalue computation did not converge: {exc}") from exc
 
 

@@ -16,18 +16,19 @@ still counted. Borderline spectra, where some eigenvalue gap falls between
 the cluster width and ten times it, can flip a verdict either way; see
 :func:`borderline_gap`, which the CLI uses to flag such comparisons.
 
-Internally a family is kept compact, as its eigenvector matrix U plus the
-cumulative rank at each breakpoint: the value at a breakpoint with rank r
-is the projection onto the first r columns of U. No dense projection is
-formed to compare two families. The range defect ||p - q p|| of the values
-with ranks r_y (of y) and r_x (of x) is the 2-norm of the block
-G[r_x:, :r_y] of the cross-Gram matrix G = U_x* U_y, computed once. Every
-block's Frobenius norm, an upper bound on its 2-norm, comes from one 2-d
-cumulative sum of |G|^2, so a comparison costs one eigendecomposition per
-operand, one matrix product, and an SVD only for the blocks whose
-Frobenius norm exceeds the threshold. :func:`spectral_family_of` turns the
-compact form into the public :class:`SpectralFamily` of dense projections
-for callers that ask for one.
+A family is kept as its eigenvector matrix U plus the cumulative rank at
+each breakpoint (:class:`SpectralFamily`): the value at a breakpoint with
+rank r is the projection onto the first r columns of U, so the values are
+nested and the family is monotone by construction. Dense projections are
+formed only on request (:func:`evaluate_at`, ``SpectralFamily.projections``);
+:func:`reconstruct` rebuilds the matrix as the one product
+(U * lambda per column) U*. The range defect ||p - q p|| of the values with
+ranks r_y (of y) and r_x (of x) is the 2-norm of the block G[r_x:, :r_y] of
+the cross-Gram matrix G = U_x* U_y, computed once. Every block's Frobenius
+norm, an upper bound on its 2-norm, comes from one 2-d cumulative sum of
+|G|^2, so a comparison costs one eigendecomposition per operand, one matrix
+product, and an SVD only for the blocks whose Frobenius norm exceeds the
+threshold.
 """
 
 from __future__ import annotations
@@ -88,10 +89,8 @@ class Projection:
 
     @classmethod
     def onto(cls, columns: np.ndarray, dim: int) -> "Projection":
-        """Projection onto the span of (orthonormal) columns."""
+        """Projection onto the span of (orthonormal) columns; zero for none."""
         cols = np.asarray(columns, dtype=np.complex128).reshape(dim, -1)
-        if cols.shape[1] == 0:
-            return cls.zero(dim)
         return cls(HermitianMatrix(cols @ cols.conj().T))
 
     @classmethod
@@ -110,7 +109,11 @@ def is_projection(m: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     For a Hermitian matrix this also bounds the idempotency defect, so no
     separate m @ m check is needed.
     """
-    w = eigensystem(m).eigenvalues
+    return _is_projection_spectrum(eigensystem(m).eigenvalues, tol)
+
+
+def _is_projection_spectrum(w: np.ndarray, tol: Tolerances) -> bool:
+    """The rule of :func:`is_projection`, on eigenvalues already computed."""
     return bool(np.all(np.minimum(np.abs(w), np.abs(w - 1.0)) <= tol.cluster_tol))
 
 
@@ -144,46 +147,43 @@ def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
 class SpectralFamily:
     """Finite right-continuous increasing family of cumulative projections.
 
-    ``projections[i]`` is the family's value on [breakpoints[i],
-    breakpoints[i+1]); below the first breakpoint the value is zero and the
-    last projection is the identity. Right-continuity is structural: a step
-    function evaluated this way equals the infimum of its values to the
-    right at every point.
+    The value on [breakpoints[i], breakpoints[i+1]) is the projection onto
+    ``vectors[:, :ranks[i]]``, zero below the first breakpoint. Nested
+    prefixes of one basis make the family monotone by construction, and
+    right-continuity is structural. The constructor checks the O(k)
+    invariants; :func:`reconstruct` checks orthonormality and termination.
     """
-
-    breakpoints: np.ndarray
-    projections: tuple[Projection, ...]
-
-    def __post_init__(self) -> None:
-        bp = np.array(self.breakpoints, dtype=float)
-        bp.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        if bp.ndim != 1 or bp.size == 0:
-            raise InvalidFamilyError("a spectral family needs at least one breakpoint")
-        if bp.size != len(self.projections):
-            raise InvalidFamilyError("breakpoints and projections differ in length")
-        if bp.size > 1 and not np.all(np.diff(bp) > 0):
-            raise InvalidFamilyError("breakpoints must be strictly ascending")
-        dims = {p.dim for p in self.projections}
-        if len(dims) != 1:
-            raise InvalidFamilyError("projections have inconsistent dimensions")
-        if self.projections[0].rank < 1:
-            raise InvalidFamilyError("the first projection must have rank >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.projections[0].dim
-
-
-@dataclass(frozen=True, eq=False)
-class _CompactFamily:
-    """A spectral family as ``(breakpoints, vectors, ranks)``: its value on
-    [breakpoints[i], breakpoints[i+1]) is the projection onto
-    ``vectors[:, :ranks[i]]``."""
 
     breakpoints: np.ndarray
     vectors: np.ndarray
     ranks: np.ndarray
+
+    def __post_init__(self) -> None:
+        bp = np.array(self.breakpoints, dtype=float)
+        ranks = np.array(self.ranks)
+        vectors = np.asarray(self.vectors, dtype=np.complex128).view()
+        for name, a in (("breakpoints", bp), ("ranks", ranks), ("vectors", vectors)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if bp.ndim != 1 or bp.size == 0:
+            raise InvalidFamilyError("a spectral family needs at least one breakpoint")
+        if ranks.shape != bp.shape or ranks.dtype.kind not in "iu":
+            raise InvalidFamilyError("ranks must be integers, one per breakpoint")
+        if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
+            raise InvalidFamilyError(f"vectors must be a square matrix, got shape {vectors.shape}")
+        if not np.all(np.diff(bp) > 0):
+            raise InvalidFamilyError("breakpoints must be strictly ascending")
+        if ranks[0] < 1 or ranks[-1] > self.dim or not np.all(np.diff(ranks) > 0):
+            raise InvalidFamilyError("ranks must rise strictly from at least 1 to at most the dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def projections(self) -> tuple[Projection, ...]:
+        """The dense value at each breakpoint."""
+        return tuple(Projection.onto(self.vectors[:, :r], self.dim) for r in self.ranks)
 
     def ranks_at(self, lams: np.ndarray, slack: float) -> np.ndarray:
         """Rank of the family's value at each of ``lams``, counting
@@ -192,35 +192,19 @@ class _CompactFamily:
         return np.concatenate(([0], self.ranks))[idx]
 
 
-def _compact_family(h: HermitianMatrix, tol: Tolerances) -> _CompactFamily:
-    """Eigendecompose h once and merge eigenvalues within ``cluster_tol``
-    to their mean."""
+def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralFamily:
+    """Spectral family of h from one eigendecomposition, with eigenvalues
+    within ``cluster_tol`` of each other merged to their mean."""
     es = eigensystem(h)
     reps, ends = _clusters(es.eigenvalues, tol.cluster_tol)
-    return _CompactFamily(reps, es.eigenvectors, ends)
-
-
-def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralFamily:
-    """Build the spectral family of h.
-
-    Eigenvalues within ``cluster_tol`` of each other are merged to their
-    mean, and the cumulative projection at each representative sums the
-    eigenprojections of every eigenvalue at or below it.
-    """
-    cf = _compact_family(h, tol)
-    return SpectralFamily(
-        cf.breakpoints,
-        tuple(Projection.onto(cf.vectors[:, :r], h.dim) for r in cf.ranks),
-    )
+    return SpectralFamily(reps, es.eigenvectors, ends)
 
 
 def evaluate_at(sf: SpectralFamily, lam: float) -> Projection:
     """Right-continuous step evaluation: the projection at the largest
     breakpoint <= lam, zero below the first breakpoint."""
-    idx = int(np.searchsorted(sf.breakpoints, float(lam), side="right")) - 1
-    if idx < 0:
-        return Projection.zero(sf.dim)
-    return sf.projections[idx]
+    rank = int(sf.ranks_at(np.array([float(lam)]), 0.0)[0])
+    return Projection.onto(sf.vectors[:, :rank], sf.dim)
 
 
 def _screened_norm(block: np.ndarray, thr: float) -> float:
@@ -231,27 +215,22 @@ def _screened_norm(block: np.ndarray, thr: float) -> float:
 
 
 def reconstruct(sf: SpectralFamily, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Rebuild the matrix sum(lambda_i * (P_i - P_{i-1})) with P_0 = 0.
+    """Rebuild sum(lambda_i * (P_i - P_{i-1})), P_0 = 0, as the one product
+    (U * lambda per column) U*.
 
     Raises
     ------
     InvalidFamilyError
-        If the family is not monotone within tolerance or its last
-        projection is not the identity.
+        If the last rank is not the dimension (the family does not end at
+        the identity) or ||U*U - I||_F exceeds cluster_tol.
     """
-    thr = 10.0 * tol.psd_tol
-    last = sf.projections[-1]
-    if float(np.linalg.norm(last.entries - np.eye(sf.dim), 2)) > max(thr, 1e-12):
+    u = sf.vectors
+    if sf.ranks[-1] != sf.dim:
         raise InvalidFamilyError("family does not terminate at the identity")
-    for a, b in zip(sf.projections, sf.projections[1:]):
-        if range_defect(a, b) > thr:
-            raise InvalidFamilyError("family is not monotone within tolerance")
-    out = np.zeros((sf.dim, sf.dim), dtype=np.complex128)
-    prev = np.zeros_like(out)
-    for lam, p in zip(sf.breakpoints, sf.projections):
-        out += lam * (p.entries - prev)
-        prev = p.entries
-    return HermitianMatrix(out)
+    if np.linalg.norm(u.conj().T @ u - np.eye(sf.dim)) > tol.cluster_tol:
+        raise InvalidFamilyError("family vectors are not orthonormal within cluster_tol")
+    lam = np.repeat(sf.breakpoints, np.diff(sf.ranks, prepend=0))
+    return HermitianMatrix((u * lam) @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -289,8 +268,8 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     """
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
-    fx = _compact_family(x, tol)
-    fy = _compact_family(y, tol)
+    fx = spectral_family_of(x, tol)
+    fy = spectral_family_of(y, tol)
     grid = cluster_values(np.concatenate([fx.breakpoints, fy.breakpoints]), tol.cluster_tol)
     rx = fx.ranks_at(grid, tol.cluster_tol)
     ry = fy.ranks_at(grid, tol.cluster_tol)
@@ -307,10 +286,16 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
 
 
 def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when some pairwise eigenvalue gap of the merged spectra lies in
-    (cluster_tol, 10 * cluster_tol), i.e. the clustering decision was close."""
+    """True when the clustering of the merged spectra was close: a gap lies
+    in (cluster_tol, 10 * cluster_tol), or gaps each within cluster_tol
+    chain into a cluster wider than 10 * cluster_tol."""
     vals = np.sort(
         np.concatenate([eigensystem(x).eigenvalues, eigensystem(y).eigenvalues])
     )
     gaps = np.diff(vals)
-    return bool(np.any((gaps > tol.cluster_tol) & (gaps < 10.0 * tol.cluster_tol)))
+    ends = _clusters(vals, tol.cluster_tol)[1]
+    widths = vals[ends - 1] - vals[ends - np.diff(ends, prepend=0)]
+    return bool(
+        np.any((gaps > tol.cluster_tol) & (gaps < 10.0 * tol.cluster_tol))
+        or np.any(widths > 10.0 * tol.cluster_tol)
+    )

@@ -19,6 +19,8 @@ from .core import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
+    _eigh,
+    _eigvalsh,
     eigensystem,
     functional_calculus,
     identity,
@@ -132,7 +134,7 @@ def _respace(vals: np.ndarray, gap: float) -> np.ndarray:
 
 
 def _with_spectrum(h: np.ndarray, mapper) -> HermitianMatrix:
-    w, u = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, u = _eigh((h + h.conj().T) / 2.0)
     return HermitianMatrix((u * mapper(w)) @ u.conj().T)
 
 
@@ -145,7 +147,7 @@ def _one_instance(rng: np.random.Generator, spec: InstanceSpec) -> HermitianMatr
         g = _complex_gaussian(rng, d)
         h = (g + g.conj().T) / 2.0
         h = h @ h
-        top = float(np.linalg.eigvalsh(h)[-1])
+        top = float(_eigvalsh(h)[-1])
         h = h / top if top > 0 else h
         if spec.kind == "positive":
             return _with_spectrum(h, lambda w: _respace(np.maximum(w, 0.0), gap))
@@ -295,7 +297,7 @@ def _refine_blocks(
     if cols.shape[1] <= 1 or not ops:
         return cols
     compressed = cols.conj().T @ ops[0] @ cols
-    w, u = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    w, u = _eigh((compressed + compressed.conj().T) / 2.0)
     pieces = []
     start = 0
     for i in range(1, w.size + 1):

@@ -8,8 +8,9 @@ up to clustering. The right-continuity regularization needed for infinite
 sets is a structural no-op here; a debug assertion verifies step constancy
 at interval midpoints.
 
-Both constructions run on the compact form of the input families (their
-eigenvectors and cumulative ranks, see :mod:`spectralorder.family`). At a
+Both constructions run on the input families as
+:class:`spectralorder.family.SpectralFamily` (eigenvectors plus cumulative
+ranks). At a
 grid point with input ranks (r_1, ..., r_k) the sum of the input values is
 sum_i U_i[:, :r_i] U_i[:, :r_i]*, one matrix product of the stacked
 columns; its eigenvalues lie in [0, k], and the meet (join) is the span of
@@ -19,8 +20,9 @@ checked once, for orthonormal eigenvectors, instead of being re-validated as
 projections at every grid point. The cost is one eigendecomposition per
 input and one per grid point, plus, for the monotonicity check between
 consecutive grid points, a matrix product whose exact 2-norm (an SVD) is
-taken only when its Frobenius norm exceeds the threshold. Dense
-projections are formed only at the rank jumps of the answer.
+taken only when its Frobenius norm exceeds the threshold. The answer is one
+orthonormal basis, extended at each rank jump by a small SVD, plus the ranks
+at the jumps; no dense projection is formed.
 """
 
 from __future__ import annotations
@@ -46,18 +48,17 @@ from .errors import (
     NonPositiveScaleError,
 )
 from .family import (
-    Projection,
     SpectralFamily,
-    _compact_family,
+    _is_projection_spectrum,
     _screened_norm,
     cluster_values,
-    is_projection,
     reconstruct,
+    spectral_family_of,
     spectral_leq,
 )
 
-# Not called here: the lattice route computes meets and joins on the compact
-# form. The names stay bound because the benchmark's tracer tests install
+# Not called here: the lattice route computes meets and joins on the
+# eigenvector bases. The names stay bound because the benchmark's tracer tests install
 # and remove wrappers on ``lattice.proj_meet``.
 from .projections import proj_join, proj_meet  # noqa: F401
 
@@ -93,7 +94,7 @@ def lattice_family(
         re-sorting.
     """
     dim = _check_set(mats)
-    families = [_compact_family(m, tol) for m in mats]
+    families = [spectral_family_of(m, tol) for m in mats]
     # Orthonormal eigenvectors make every cut of them a projection, so the
     # values built from them need no validation of their own.
     eye = np.eye(dim)
@@ -149,17 +150,25 @@ def lattice_family(
             ), "lattice family is not constant between merged breakpoints"
 
     # Keep only rank jumps; equal ranks in a monotone chain mean equal
-    # projections, so dropped points carry no spectral weight.
+    # projections, so dropped points carry no spectral weight. Each jump
+    # extends one orthonormal basis q with the new range c, turned by the
+    # left singular vectors of c* q beyond the old rank: those columns lie
+    # in range(c) and are orthogonal to c c* q, hence to q.
+    q = np.empty((dim, dim), dtype=np.complex128)
     breakpoints: list[float] = []
-    projections: list[Projection] = []
+    ranks: list[int] = []
     prev_rank = 0
     for lam, (v, m) in zip(grid, values):
         rank = int(m.sum())
         if rank > prev_rank:
+            c = v[:, m]
+            if prev_rank:
+                c = c @ np.linalg.svd(c.conj().T @ q[:, :prev_rank])[0][:, prev_rank:]
+            q[:, prev_rank:rank] = c
             breakpoints.append(float(lam))
-            projections.append(Projection.onto(v[:, m], dim))
+            ranks.append(rank)
             prev_rank = rank
-    return SpectralFamily(np.asarray(breakpoints), tuple(projections))
+    return SpectralFamily(np.asarray(breakpoints), q, np.asarray(ranks))
 
 
 def spectral_sup(mats: Sequence[HermitianMatrix], tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -225,7 +234,7 @@ def _class_membership(
         ok_ball, wit_ball = _class_membership(m, "unit_ball", tol)
         return ok_pos and ok_ball, f"{wit_pos}; {wit_ball}"
     if klass == "projection":
-        ok = is_projection(m, tol)
+        ok = _is_projection_spectrum(w, tol)
         return ok, f"spectrum = {np.round(w, 6).tolist()}"
     raise ClassViolationError(f"unknown operator class {klass!r}")
 

@@ -48,6 +48,7 @@ from .core import (
     HermitianMatrix,
     Tolerances,
     _check_set,
+    _eigh,
     eigensystem,
     identity,
     negative_part,
@@ -154,7 +155,7 @@ def _graded_root_pairs(
         va = v[:, active]
         s = (va * np.exp(w[active] - top)) @ va.conj().T
         s = (s + s.conj().T) / 2.0
-        g, u = np.linalg.eigh(s)
+        g, u = _eigh(s)
         g_max = float(g[-1])
         if g_max <= 0.0:
             break

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HermitianMatrix, Tolerances
+from .core import DEFAULT_TOL, HermitianMatrix, Tolerances, _eigh
 from .errors import (
     DimMismatchError,
     NoConvergenceError,
@@ -60,7 +60,7 @@ def _sum_eigh(
     total = np.zeros((dim, dim), dtype=np.complex128)
     for p in ps:
         total += p.entries
-    w, u = np.linalg.eigh((total + total.conj().T) / 2.0)
+    w, u = _eigh((total + total.conj().T) / 2.0)
     return w, u, dim, min(0.5, len(ps) * tol.cluster_tol)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors
+from spectralorder import errors, harness, limits, projections
 
 
 def h(rows):
@@ -52,6 +52,16 @@ class TestMakeHermitian:
     def test_dim_one_allowed(self):
         assert h([[5]]).dim == 1
 
+    def test_large_scale_roundoff_accepted(self):
+        # G G* with entries near 1.5e19: its asymmetry is roundoff, far
+        # above an absolute cluster_tol but tiny relative to the entries.
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        raw = g @ g.conj().T
+        raw *= 1.5e19 / np.max(np.abs(raw))
+        assert np.max(np.abs(raw - raw.conj().T)) > so.DEFAULT_TOL.cluster_tol
+        assert np.array_equal(so.make_hermitian(raw).entries, so.HermitianMatrix(raw).entries)
+
 
 class TestEigensystem:
     def test_sorts_ascending(self):
@@ -75,6 +85,39 @@ class TestEigensystem:
         m = so.gen_instances(so.InstanceSpec(dim=6, seed=1, kind="generic"))[0]
         u = so.eigensystem(m).eigenvectors
         assert np.allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
+
+
+class TestEigenFailure:
+    """A backend non-convergence surfaces as EigenFailureError (exit 3) on
+    every route, never as a bare LinAlgError."""
+
+    @pytest.fixture(autouse=True)
+    def failing_eigh(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+    def test_proj_meet(self, monkeypatch):
+        # Skip the input validation, which has an eigendecomposition of its own.
+        monkeypatch.setattr(projections, "is_projection", lambda m, tol: True)
+        p = so.Projection.identity(2)
+        with pytest.raises(errors.EigenFailureError):
+            so.proj_meet([p, p])
+
+    def test_graded_root_engine(self):
+        with pytest.raises(errors.EigenFailureError):
+            limits._graded_root_pairs(np.zeros(2), np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("kind", ["generic", "positive"])
+    def test_instance_generator(self, kind):
+        with pytest.raises(errors.EigenFailureError):
+            so.gen_instances(so.InstanceSpec(dim=3, seed=0, kind=kind))
+
+    def test_commuting_oracle(self):
+        with pytest.raises(errors.EigenFailureError):
+            harness._refine_blocks(np.eye(2), [np.eye(2)], 1e-8)
 
 
 class TestLoewner:

@@ -75,7 +75,7 @@ class TestEvaluateAt:
 
 class TestReconstruct:
     def test_identity_family(self):
-        sf = SpectralFamily(np.array([1.0]), (so.Projection.identity(3),))
+        sf = SpectralFamily(np.array([1.0]), np.eye(3), np.array([3]))
         assert np.allclose(so.reconstruct(sf).entries, np.eye(3))
 
     def test_round_trip_diagonal(self):
@@ -88,20 +88,49 @@ class TestReconstruct:
         assert np.linalg.norm(back.entries - m.entries) < 1e-9
 
     def test_rejects_family_not_ending_at_identity(self):
-        sf = SpectralFamily(
-            np.array([0.0]), (so.Projection(h([[1, 0], [0, 0]])),)
-        )
+        sf = SpectralFamily(np.array([0.0]), np.eye(2), np.array([1]))
         with pytest.raises(errors.InvalidFamilyError):
             so.reconstruct(sf)
 
     def test_rejects_non_monotone_family(self):
-        p = so.Projection(h([[1, 0], [0, 0]]))
-        sf = SpectralFamily(
-            np.array([0.0, 1.0, 2.0]),
-            (so.Projection.identity(2), p, so.Projection.identity(2)),
-        )
+        # values (identity, p, identity) with p of rank 1
         with pytest.raises(errors.InvalidFamilyError):
+            SpectralFamily(np.array([0.0, 1.0, 2.0]), np.eye(2), np.array([2, 1, 2]))
+
+    def test_rejects_non_orthonormal_vectors(self):
+        sf = SpectralFamily(np.array([0.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1, 2]))
+        with pytest.raises(errors.InvalidFamilyError, match="orthonormal"):
             so.reconstruct(sf)
+
+
+class TestSpectralFamilyConstructor:
+    @pytest.mark.parametrize(
+        "breakpoints, vectors, ranks",
+        [
+            pytest.param([], np.eye(2), [], id="no-breakpoint"),
+            pytest.param([[0.0, 1.0]], np.eye(2), [[1, 2]], id="breakpoints-not-1d"),
+            pytest.param([0.0, 1.0], np.eye(2), [2], id="length-mismatch"),
+            pytest.param([0.0, 1.0], np.eye(2), [1.0, 2.0], id="float-ranks"),
+            pytest.param([0.0, 1.0], np.eye(3)[:, :2], [1, 2], id="non-square-vectors"),
+            pytest.param([1.0, 1.0], np.eye(2), [1, 2], id="repeated-breakpoint"),
+            pytest.param([1.0, 0.0], np.eye(2), [1, 2], id="descending-breakpoints"),
+            pytest.param([0.0, np.nan], np.eye(2), [1, 2], id="nan-breakpoint"),
+            pytest.param([0.0, 1.0], np.eye(2), [0, 2], id="first-rank-zero"),
+            pytest.param([0.0, 1.0], np.eye(2), [1, 1], id="rank-not-rising"),
+            pytest.param([0.0, 1.0], np.eye(2), [1, 3], id="rank-above-dim"),
+        ],
+    )
+    def test_rejects_broken_invariant(self, breakpoints, vectors, ranks):
+        with pytest.raises(errors.InvalidFamilyError):
+            SpectralFamily(np.array(breakpoints), vectors, np.array(ranks))
+
+    def test_fields_are_read_only(self):
+        vectors = np.eye(2, dtype=complex)
+        sf = SpectralFamily(np.array([0.0, 1.0]), vectors, np.array([1, 2]))
+        for a in (sf.breakpoints, sf.vectors, sf.ranks):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert vectors.flags.writeable  # the caller's array is not frozen
 
 
 class TestSpectralLeq:
@@ -268,6 +297,14 @@ class TestBorderline:
         x = h(np.diag([0.0, 1.0]))
         y = h(np.diag([2.0, 3.0]))
         assert not so.borderline_gap(x, y)
+
+    def test_flags_chained_cluster(self):
+        # 20 eigenvalues 0.9 * cluster_tol apart merge into one cluster
+        # 1.7e-7 wide: no single gap is borderline, the chain is.
+        x = h(np.diag(0.9e-8 * np.arange(20)))
+        y = float(np.mean(np.diag(x.entries).real)) * so.identity(20)
+        assert so.spectral_leq(x, y).holds and so.spectral_leq(y, x).holds
+        assert so.borderline_gap(x, y)
 
 
 class TestProjectionType:

@@ -109,6 +109,21 @@ class TestLatticeFamily:
             assert np.allclose(sf.projections[-1].entries, np.eye(6), atol=1e-12)
 
 
+    @pytest.mark.parametrize("kind", ["generic", "positive", "projection", "orthogonal_family"])
+    @pytest.mark.parametrize("mode", ["sup", "inf"])
+    def test_orthonormal_basis_matches_dense_reconstruction(self, kind, mode):
+        for dim, count in ((6, 2), (16, 3)):
+            sf = lattice.lattice_family(gen(7, dim=dim, kind=kind, count=count), mode)
+            u = sf.vectors
+            assert np.linalg.norm(u.conj().T @ u - np.eye(dim), 2) <= 1e-12
+            # dense reference: sum of lambda_i (P_i - P_{i-1})
+            dense = np.zeros((dim, dim), dtype=complex)
+            prev = np.zeros_like(dense)
+            for lam, p in zip(sf.breakpoints, sf.projections):
+                dense += lam * (p.entries - prev)
+                prev = p.entries
+            assert np.linalg.norm(so.reconstruct(sf).entries - dense, 2) <= 1e-12
+
     def test_checks_input_eigenbases_once(self):
         # Roundoff in the eigenvectors exceeds a cluster_tol of 1e-18.
         with pytest.raises(errors.InternalLatticeError, match="orthonormal"):
@@ -154,11 +169,26 @@ class TestCostModel:
             calls.append(1)
             return True
 
-        for module in (family, lattice, projections):
+        # lattice binds no is_projection; these are the modules that do.
+        for module in (family, projections):
             monkeypatch.setattr(module, "is_projection", counting_is_projection)
         for mode in ("sup", "inf"):
             lattice.lattice_family(gen(6, dim=16, count=3), mode)
         assert calls == []
+
+
+    def test_projection_membership_decomposes_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert lattice._class_membership(P_DIAG, "projection", so.DEFAULT_TOL)[0]
+        assert not lattice._class_membership(A13, "projection", so.DEFAULT_TOL)[0]
+        assert len(calls) == 2
 
 
 class TestOrderBounds:
