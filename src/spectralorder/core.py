@@ -230,6 +230,13 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise EigenFailureError(f"eigenvalue computation did not converge: {exc}") from exc
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailureError(f"singular value decomposition did not converge: {exc}") from exc
+
+
 def eigensystem(h: HermitianMatrix) -> EigenSystem:
     """Eigendecompose a Hermitian matrix.
 

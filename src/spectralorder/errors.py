@@ -63,7 +63,8 @@ class NonPositiveScaleError(InvalidInputError):
 
 
 class DeltaTooLargeError(InvalidInputError):
-    """Shift exceeds the admissible floor, so a shifted term is not PSD."""
+    """Shift exceeds the admissible floor, so a shifted term is not PSD, or
+    is so large that rounding it erases the spectrum."""
 
 
 class NotInvertibleError(InvalidInputError):

@@ -42,6 +42,7 @@ from .core import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
+    _svd,
     eigensystem,
 )
 from .errors import DimMismatchError, InvalidFamilyError, NotProjectionError
@@ -120,7 +121,7 @@ def _is_projection_spectrum(w: np.ndarray, tol: Tolerances) -> bool:
 def range_defect(p: Projection, q: Projection) -> float:
     """||p - q p|| in operator norm; zero exactly when range(p) is inside range(q)."""
     m = p.entries - q.entries @ p.entries
-    return float(np.linalg.norm(m, 2))
+    return float(_svd(m, compute_uv=False)[0])
 
 
 def _clusters(vals: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +212,7 @@ def _screened_norm(block: np.ndarray, thr: float) -> float:
     """2-norm of ``block``, or its Frobenius norm (an upper bound) when
     that is already at most ``thr``, so no SVD is spent on small blocks."""
     fro = float(np.linalg.norm(block))
-    return fro if fro <= thr else float(np.linalg.norm(block, 2))
+    return fro if fro <= thr else float(_svd(block, compute_uv=False)[0])
 
 
 def reconstruct(sf: SpectralFamily, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -279,7 +280,7 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     fro2[:-1, 1:] = np.cumsum(np.cumsum(np.abs(g[::-1]) ** 2, axis=0)[::-1], axis=1)
     thr = 10.0 * tol.psd_tol
     for i in np.flatnonzero(fro2[rx, ry] > thr * thr):
-        defect = float(np.linalg.norm(g[rx[i]:, : ry[i]], 2))
+        defect = float(_svd(g[rx[i]:, : ry[i]], compute_uv=False)[0])
         if defect > thr:
             return OrderVerdict(holds=False, witness_lambda=float(grid[i]), defect=defect)
     return OrderVerdict(holds=True)

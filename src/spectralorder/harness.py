@@ -21,6 +21,7 @@ from .core import (
     Tolerances,
     _eigh,
     _eigvalsh,
+    _svd,
     eigensystem,
     functional_calculus,
     identity,
@@ -328,10 +329,10 @@ def commuting_oracle(
             raise DimMismatchError("dimensions differ inside the family")
         for j in range(i + 1, len(mats)):
             comm = mats[i].entries @ mats[j].entries - mats[j].entries @ mats[i].entries
-            if float(np.linalg.norm(comm, 2)) > _commutator_tolerance(mats[i], mats[j]):
+            comm_norm = float(_svd(comm, compute_uv=False)[0])
+            if comm_norm > _commutator_tolerance(mats[i], mats[j]):
                 raise NotCommutingError(
-                    f"elements {i} and {j} do not commute "
-                    f"(||[x,y]|| = {np.linalg.norm(comm, 2):.3e})"
+                    f"elements {i} and {j} do not commute (||[x,y]|| = {comm_norm:.3e})"
                 )
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(mats))
@@ -345,7 +346,7 @@ def commuting_oracle(
     for i, m in enumerate(mats):
         rotated = basis.conj().T @ m.entries @ basis
         off = rotated - np.diag(np.diagonal(rotated))
-        if float(np.linalg.norm(off, 2)) > 1e-8 * scale:
+        if float(_svd(off, compute_uv=False)[0]) > 1e-8 * scale:
             raise NotCommutingError(
                 "family is not jointly diagonalizable within tolerance"
             )

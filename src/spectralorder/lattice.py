@@ -5,8 +5,8 @@ the infimum's is the pointwise join. With finitely many matrices both
 constructions are step functions on the merged breakpoint grid, already
 right continuous, so the pointwise formulas reconstruct the answers exactly
 up to clustering. The right-continuity regularization needed for infinite
-sets is a structural no-op here; a debug assertion verifies step constancy
-at interval midpoints.
+sets is a structural no-op here; a debug check (``__debug__``) verifies step
+constancy at interval midpoints.
 
 Both constructions run on the input families as
 :class:`spectralorder.family.SpectralFamily` (eigenvectors plus cumulative
@@ -38,6 +38,7 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
+    _svd,
     eigensystem,
     identity,
     operator_norm,
@@ -89,7 +90,8 @@ def lattice_family(
     ------
     InternalLatticeError
         If an input's eigenvectors are not orthonormal within cluster_tol,
-        or the pointwise lattice values are not monotone within tolerance.
+        or the pointwise lattice values are not monotone within tolerance
+        (under ``__debug__``, also not constant between grid points).
         That signals a tolerance misconfiguration and is never repaired by
         re-sorting.
     """
@@ -145,9 +147,10 @@ def lattice_family(
             vm, mm = combine(mid_ranks[i])
             v, m = values[i]
             # Equal-rank projections p, q have ||p - q|| = ||(1 - q) p||.
-            assert (
-                mm.sum() == m.sum() and _screened_norm(v[:, ~m].conj().T @ vm[:, mm], thr) <= thr
-            ), "lattice family is not constant between merged breakpoints"
+            if mm.sum() != m.sum() or _screened_norm(v[:, ~m].conj().T @ vm[:, mm], thr) > thr:
+                raise InternalLatticeError(
+                    f"{mode} family is not constant between merged breakpoints"
+                )
 
     # Keep only rank jumps; equal ranks in a monotone chain mean equal
     # projections, so dropped points carry no spectral weight. Each jump
@@ -163,7 +166,7 @@ def lattice_family(
         if rank > prev_rank:
             c = v[:, m]
             if prev_rank:
-                c = c @ np.linalg.svd(c.conj().T @ q[:, :prev_rank])[0][:, prev_rank:]
+                c = c @ _svd(c.conj().T @ q[:, :prev_rank])[0][:, prev_rank:]
             q[:, prev_rank:rank] = c
             breakpoints.append(float(lam))
             ranks.append(rank)

@@ -24,7 +24,9 @@ off one scale window at a time: the top window is assembled and
 eigendecomposed at unit scale, its trustworthy eigenpairs are emitted, and
 every factor's residual against the remaining orthogonal complement is
 re-normalized and carried into the next window. Each pass resolves at least
-one dimension, so at most d windows are needed regardless of n.
+one dimension, so at most d windows are needed regardless of n. Eigenpairs
+stay arrays throughout: the engine returns (root logs, columns) and an
+iterate is the one product (columns * values) columns^* plus the shift.
 
 Residuals with norm at or below the rounding floor are treated as exactly
 consumed (clamped); content reachable only through components of size
@@ -49,8 +51,8 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
+    _svd,
     eigensystem,
-    identity,
     negative_part,
     operator_norm,
     positive_part,
@@ -120,32 +122,31 @@ class PowerSchedule:
         return cls(tuple(2**k for k in range(int(max_doublings) + 1)), stop_tol)
 
 
-def _default_schedule(tol: Tolerances) -> PowerSchedule:
-    return PowerSchedule.doubling(tol.max_power_doublings)
-
-
-def _floor(systems: Sequence[EigenSystem]) -> float:
-    return min(float(es.eigenvalues[0]) for es in systems)
+def _spectral_range(systems: Sequence[EigenSystem]) -> tuple[float, float]:
+    """Smallest eigenvalue and largest |eigenvalue| over the set."""
+    lam = np.concatenate([es.eigenvalues for es in systems])
+    return float(lam.min()), float(np.abs(lam).max())
 
 
 def delta_floor(mats: Sequence[HermitianMatrix]) -> float:
     """Largest admissible downward shift: the smallest eigenvalue over the set
     (equivalently the smallest spectral-family breakpoint of any element)."""
     _check_set(mats)
-    return _floor([eigensystem(m) for m in mats])
+    return _spectral_range([eigensystem(m) for m in mats])[0]
 
 
 def _graded_root_pairs(
     log_weights: np.ndarray, vectors: np.ndarray, inv_exponent: float
-) -> list[tuple[float, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of (sum_j e^{w_j} v_j v_j^*)^{inv_exponent}.
 
-    ``vectors`` holds unit columns; returns (log of root eigenvalue, unit
-    eigenvector) pairs spanning the numerically visible support. Directions
+    ``vectors`` holds unit columns; returns (root eigenvalue logs, orthonormal
+    eigenvector columns) spanning the numerically visible support. Directions
     never covered correspond to exact zeros of the sum.
     """
-    out: list[tuple[float, np.ndarray]] = []
     dim = vectors.shape[0]
+    logs = [np.zeros(0)]
+    cols = [np.zeros((dim, 0), dtype=np.complex128)]
     basis = np.eye(dim, dtype=np.complex128)
     w = np.asarray(log_weights, dtype=float)
     v = np.asarray(vectors, dtype=np.complex128)
@@ -160,65 +161,45 @@ def _graded_root_pairs(
         if g_max <= 0.0:
             break
         keep = g >= _KEEP_RATIO * g_max
-        for gi, ui in zip(g[keep], u[:, keep].T):
-            out.append(((math.log(float(gi)) + top) * inv_exponent, basis @ ui))
+        logs.append((np.log(g[keep]) + top) * inv_exponent)
+        cols.append(basis @ u[:, keep])
         u_comp = u[:, ~keep]
-        if u_comp.shape[1] == 0:
-            break
         residuals = u_comp.conj().T @ v
         norms = np.linalg.norm(residuals, axis=0)
         alive = norms > _RESIDUAL_CLAMP
         w = w[alive] + 2.0 * np.log(norms[alive])
         v = residuals[:, alive] / norms[alive]
         basis = basis @ u_comp
-    return out
+    return np.concatenate(logs), np.concatenate(cols, axis=1)
 
 
-def _psd_factors(
-    shifted_eigs: list[tuple[np.ndarray, np.ndarray]], dim: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Collect strictly positive eigenpairs, rescaled so logs are <= 0."""
-    scale = max((float(w.max()) for w, _ in shifted_eigs if w.size), default=0.0)
-    scale = max(scale, 0.0)
-    logs: list[float] = []
-    cols: list[np.ndarray] = []
-    if scale > 0.0:
-        for w, u in shifted_eigs:
-            for lam, col in zip(w, u.T):
-                if lam > 0.0:
-                    logs.append(math.log(float(lam) / scale))
-                    cols.append(col)
-    vec = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((dim, 0), dtype=np.complex128)
-    )
-    return scale, np.asarray(logs, dtype=float), vec
-
-
-def _mean_pairs(
-    scale: float,
-    base_logs: np.ndarray,
-    vectors: np.ndarray,
-    n: int,
-    count: int,
+def _power_mean_roots(
+    eigs: Sequence[tuple[np.ndarray, np.ndarray]],
+    exponents: Sequence[int],
     normalize: bool,
     inv_sign: float,
-) -> list[tuple[float, np.ndarray]]:
-    """Pairs (value, vector) of (sum_x y^n / c)^(inv_sign / n), scaled back."""
-    if scale <= 0.0 or base_logs.size == 0:
-        return []
-    log_c = math.log(count) if normalize else 0.0
-    pairs = _graded_root_pairs(n * base_logs - log_c, vectors, inv_sign / n)
-    log_scale = math.log(scale)
-    return [(math.exp(val + inv_sign * log_scale), vec) for val, vec in pairs]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (n, values, columns), the eigenpairs of (sum_y y^n / c)^(inv_sign / n)
+    for each exponent n, from the (eigenvalues, eigenvectors) of each y. Only
+    strictly positive eigenvalues contribute; c = len(eigs) if ``normalize``."""
+    w = np.concatenate([vals for vals, _ in eigs])
+    u = np.concatenate([vecs for _, vecs in eigs], axis=1)
+    pos = w > 0.0
+    w, u = w[pos], u[:, pos]
+    scale = float(w.max()) if w.size else 1.0
+    logs = np.log(w / scale)
+    log_c = math.log(len(eigs)) if normalize else 0.0
+    log_scale = inv_sign * math.log(scale)
+    for n in exponents:
+        root_logs, cols = _graded_root_pairs(n * logs - log_c, u, inv_sign / n)
+        yield n, np.exp(root_logs + log_scale), cols
 
 
-def _assemble(dim: int, pairs: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for value, vec in pairs:
-        a += value * np.outer(vec, vec.conj())
-    return a
+def _check_shift(delta: float, norm: float, sched: PowerSchedule) -> None:
+    """Reject a shift whose rounding, eps * |delta| on every shifted eigenvalue,
+    exceeds the stopping rule at the input scale: the limit would be wrong."""
+    if np.finfo(float).eps * abs(delta) > sched.stop_tol * (1.0 + norm):
+        raise DeltaTooLargeError(f"shift {delta} is too large: its rounding exceeds stop_tol")
 
 
 def run_schedule(
@@ -277,8 +258,7 @@ def power_sup_iterates(
     """
     dim = _check_set(mats)
     systems = [eigensystem(m) for m in mats]
-    floor = _floor(systems)
-    norm = max(float(np.max(np.abs(es.eigenvalues))) for es in systems)
+    floor, norm = _spectral_range(systems)
     slack = tol.psd_tol * (1.0 + norm)
     if delta is None:
         delta = floor
@@ -287,13 +267,11 @@ def power_sup_iterates(
             f"shift {delta} exceeds the admissible floor {floor}; "
             "a shifted element would not be positive semidefinite"
         )
-    sched = sched or _default_schedule(tol)
-    shifted = [(np.maximum(es.eigenvalues - delta, 0.0), es.eigenvectors) for es in systems]
-    scale, logs, vecs = _psd_factors(shifted, dim)
-    shift = delta * identity(dim)
-    for n in sched.exponents:
-        pairs = _mean_pairs(scale, logs, vecs, n, len(mats), normalize, +1.0)
-        yield n, shift + HermitianMatrix(_assemble(dim, pairs))
+    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
+    _check_shift(delta, norm, sched)
+    shifted = [(es.eigenvalues - delta, es.eigenvectors) for es in systems]
+    for n, vals, cols in _power_mean_roots(shifted, sched.exponents, normalize, +1.0):
+        yield n, HermitianMatrix(delta * np.eye(dim) + (cols * vals) @ cols.conj().T)
 
 
 def shifted_power_sup(
@@ -320,7 +298,7 @@ def shifted_power_sup(
         If the Cauchy stopping rule is not met within the schedule; the
         error carries the last iterate and residual trace.
     """
-    sched = sched or _default_schedule(tol)
+    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
     limit, _ = run_schedule(
         power_sup_iterates(mats, delta, sched, normalize, tol), sched, "power-mean supremum"
     )
@@ -337,9 +315,9 @@ def power_inf_iterates(
     """Yield (n, -delta I + (sum_x (x + delta I)^(-n) / c)^(-1/n))."""
     dim = _check_set(mats)
     systems = [eigensystem(m) for m in mats]
+    floor, norm = _spectral_range(systems)
     if delta is None:
-        delta = max(0.0, 1.0 - _floor(systems))
-    inverted = []
+        delta = max(0.0, 1.0 - floor)
     for i, es in enumerate(systems):
         lam_min = float(es.eigenvalues[0]) + delta
         if lam_min < INVERTIBILITY_FLOOR:
@@ -347,19 +325,16 @@ def power_inf_iterates(
                 f"element {i}: lambda_min(x + delta I) = {lam_min:.3e} is below "
                 f"the invertibility floor {INVERTIBILITY_FLOOR:.0e}"
             )
-        inverted.append((1.0 / (es.eigenvalues + delta), es.eigenvectors))
-    sched = sched or _default_schedule(tol)
-    scale, logs, vecs = _psd_factors(inverted, dim)
-    shift = -delta * identity(dim)
-    for n in sched.exponents:
-        # (sum y^n / c)^(-1/n) with y = (x + delta I)^(-1)
-        pairs = _mean_pairs(scale, logs, vecs, n, len(mats), normalize, -1.0)
-        if len(pairs) < dim:
+    inverted = [(1.0 / (es.eigenvalues + delta), es.eigenvectors) for es in systems]
+    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
+    _check_shift(delta, norm, sched)
+    for n, vals, cols in _power_mean_roots(inverted, sched.exponents, normalize, -1.0):
+        if cols.shape[1] < dim:
             raise EigenFailureError(
                 "inverse power mean lost rank; shifted inputs are too close "
                 "to singular for the scale-window engine"
             )
-        yield n, shift + HermitianMatrix(_assemble(dim, pairs))
+        yield n, HermitianMatrix(-delta * np.eye(dim) + (cols * vals) @ cols.conj().T)
 
 
 def inverse_power_inf(
@@ -376,7 +351,7 @@ def inverse_power_inf(
     pushes the binding element's smallest eigenvalue to one, minimizing the
     dynamic range of the inverted family.
     """
-    sched = sched or _default_schedule(tol)
+    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
     limit, _ = run_schedule(
         power_inf_iterates(mats, delta, sched, normalize, tol), sched, "power-mean infimum"
     )
@@ -407,7 +382,7 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
     norms = [operator_norm(m) for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            prod = float(np.linalg.norm(mats[i].entries @ mats[j].entries, 2))
+            prod = float(_svd(mats[i].entries @ mats[j].entries, compute_uv=False)[0])
             if prod > 1e-10 * (1.0 + norms[i] * norms[j]):
                 raise NotOrthogonalError(
                     f"elements {i} and {j} are not orthogonal: ||x y|| = {prod:.3e}"

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HermitianMatrix, Tolerances, _eigh
+from .core import DEFAULT_TOL, HermitianMatrix, Tolerances, _eigh, _svd
 from .errors import (
     DimMismatchError,
     NoConvergenceError,
@@ -98,7 +98,7 @@ def alternating_meet_oracle(
     for _ in range(int(iters)):
         nxt = m @ m
         nxt = (nxt + nxt.conj().T) / 2.0
-        residual = float(np.linalg.norm(nxt - m, 2))
+        residual = float(_svd(nxt - m, compute_uv=False)[0])
         m = nxt
         if residual < tol.conv_tol:
             return Projection(HermitianMatrix(m))

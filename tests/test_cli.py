@@ -240,8 +240,9 @@ class TestMalformedInput:
             (["compare", "--names", "a,b"], "[[1, 0], [0, 3]]", "seven"),
             (["compare", "--names", "a,b"], "[[NaN, 0], [0, 3]]", None),
             (["lattice", "--mode", "sup"], "[[1, 0], [0, Infinity]]", None),
+            (["limits", "--formula", "inverse", "--delta", "1e17"], "[[1, 0], [0, 3]]", None),
         ],
-        ids=["tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf"],
+        ids=["tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf", "huge_delta"],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, monkeypatch, command, first, seed_var):
         path = tmp_path / "doc.json"
@@ -255,6 +256,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_lattice_midpoint_failure_exits_three(self, tmp_path, capsys):
+        # Eigenvalue roundoff at scale 1e10 breaks step constancy between
+        # grid points; the debug check reports it as a numerical failure.
+        mats = so.gen_instances(so.InstanceSpec(dim=8, seed=3, kind="projection", count=3))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(matrices_to_document([(f"m{i}", 1e10 * m) for i, m in enumerate(mats)])))
+        code = main(["lattice", "--input", str(path), "--mode", "sup"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: InternalLatticeError") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_every_error_class_has_an_exit_code(self):

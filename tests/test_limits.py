@@ -3,7 +3,7 @@ import pytest
 
 import spectralorder as so
 from spectralorder import errors
-from spectralorder.limits import PowerSchedule
+from spectralorder.limits import PowerSchedule, _graded_root_pairs
 
 
 def h(rows):
@@ -56,7 +56,48 @@ class TestDeltaFloor:
             so.delta_floor([])
 
 
+class TestGradedRootEngine:
+    @pytest.mark.parametrize("inv_exponent", [1.0, 0.5])
+    def test_matches_dense_functional_calculus(self, inv_exponent):
+        rng = np.random.default_rng(7)
+        vecs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        vecs /= np.linalg.norm(vecs, axis=0)
+        log_w = rng.uniform(-3.0, 0.0, 6)
+        logs, cols = _graded_root_pairs(log_w, vecs, inv_exponent)
+        assert np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) < 1e-12
+        dense = so.HermitianMatrix((vecs * np.exp(log_w)) @ vecs.conj().T)
+        want = so.functional_calculus(dense, lambda s: max(s, 0.0) ** inv_exponent)
+        got = so.HermitianMatrix((cols * np.exp(logs)) @ cols.conj().T)
+        assert so.operator_norm(got - want) <= 1e-12 * so.operator_norm(want)
+
+    @pytest.mark.parametrize("inv_exponent", [1.0, 0.5])
+    def test_exact_on_orthogonal_factors_across_windows(self, inv_exponent):
+        # Weights 50 apart put each factor in its own scale window.
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        log_w = np.array([0.0, -50.0, -100.0, -150.0])
+        logs, cols = _graded_root_pairs(log_w, q, inv_exponent)
+        assert np.allclose(logs, inv_exponent * log_w, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.abs(q.T @ cols), np.eye(4), rtol=0.0, atol=1e-12)
+
+    def test_factors_in_a_subspace_give_its_rank(self):
+        vecs = np.zeros((4, 3), dtype=complex)
+        vecs[:2] = [[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]]
+        logs, cols = _graded_root_pairs(np.array([0.0, -1.0, -2.0]), vecs, 1.0)
+        assert logs.shape == (2,) and cols.shape == (4, 2)
+
+
 class TestShiftedPowerSup:
+    def test_equal_scalars_need_no_factor(self):
+        # The default shift is the common eigenvalue, so every shifted
+        # eigenvalue is zero and the engine gets no factor at all.
+        c = 2.5 * so.identity(3)
+        assert np.array_equal(so.shifted_power_sup([c, c]).entries, c.entries)
+
+    def test_rejects_shift_that_rounds_the_spectrum_away(self):
+        mats = gen(1, dim=6, kind="positive_definite", count=3)
+        with pytest.raises(errors.DeltaTooLargeError):
+            so.shifted_power_sup(mats, delta=so.delta_floor(mats) - 1e17)
+
     def test_commuting_limit(self):
         out = so.shifted_power_sup([A13, B22], delta=0.0)
         assert np.allclose(out.entries, np.diag([2.0, 3.0]), atol=1e-7)
@@ -165,6 +206,11 @@ class TestInversePowerInf:
         sched = PowerSchedule.doubling(40)
         out = so.inverse_power_inf(mats, delta=0.0, sched=sched)
         assert so.operator_norm(out - so.spectral_inf(mats)) < 1e-6
+
+    def test_rejects_shift_that_rounds_the_spectrum_away(self):
+        mats = gen(1, dim=6, kind="positive_definite", count=3)
+        with pytest.raises(errors.DeltaTooLargeError):
+            so.inverse_power_inf(mats, delta=1e17)
 
     def test_rejects_singular_shift(self):
         with pytest.raises(errors.NotInvertibleError):
