@@ -47,13 +47,7 @@ from .harness import (
     run_suite,
 )
 from .lattice import spectral_inf, spectral_sup
-from .limits import (
-    PowerSchedule,
-    orthogonal_sup,
-    power_inf_iterates,
-    power_sup_iterates,
-    run_schedule,
-)
+from .limits import orthogonal_sup, power_inf_iterates, power_sup_iterates, run_schedule
 
 EXIT_OK = 0
 
@@ -97,8 +91,10 @@ def load_document(path: str, tol: Tolerances) -> dict[str, HermitianMatrix]:
     try:
         dim = int(doc["dim"])
         entries = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: missing or malformed dim/matrices") from exc
+    if not isinstance(entries, list):
+        raise InputError(f"{path}: matrices must be a list")
     out: dict[str, HermitianMatrix] = {}
     for item in entries:
         try:
@@ -238,26 +234,25 @@ def cmd_limits(args) -> int:
     start = time.perf_counter()
     trace: list[tuple[int, float]] = []
     if args.formula == "orthosum":
-        result = orthogonal_sup(mats, tol)
+        result = orthogonal_sup(mats)
         reference = spectral_sup(mats, tol)
     else:
         # Run the iterates here rather than through shifted_power_sup or
         # inverse_power_inf: the report needs the residual trace they drop.
-        sched = PowerSchedule.doubling(tol.max_power_doublings)
         if args.formula in ("kato", "shifted"):
             delta = 0.0 if args.formula == "kato" else args.delta
-            iterates = power_sup_iterates(mats, delta, sched, args.normalize, tol)
+            iterates = power_sup_iterates(mats, delta, args.normalize, tol)
             what, lattice_op = "power-mean supremum", spectral_sup
         elif args.formula == "inverse":
-            iterates = power_inf_iterates(mats, args.delta, sched, args.normalize, tol)
+            iterates = power_inf_iterates(mats, args.delta, args.normalize, tol)
             what, lattice_op = "power-mean infimum", spectral_inf
         else:  # harmonic
             if len(mats) != 2:
                 raise InputError("harmonic needs exactly two matrices")
-            iterates = power_inf_iterates(mats, 0.0, sched, True, tol)
+            iterates = power_inf_iterates(mats, 0.0, True, tol)
             what, lattice_op = "power-mean infimum", spectral_inf
         try:
-            result, trace = run_schedule(iterates, sched, what)
+            result, trace = run_schedule(iterates, what)
         except errors.NoConvergenceError as exc:
             return _no_convergence_report(args, exc, start)
         reference = lattice_op(mats, tol)

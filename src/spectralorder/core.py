@@ -60,8 +60,9 @@ class Tolerances:
         Stopping threshold for fixed-point iterations (the alternating
         projection oracle).
     max_power_doublings : int
-        Hard cap on the exponent-doubling ladder of the power-mean limit
-        formulas; exponents reach 2**max_power_doublings.
+        Cap on the exponent-doubling ladder of the power-mean limit
+        formulas, which run over n = 2**k for k = 0..max_power_doublings.
+        It is the only setting of that ladder; the stopping rule is fixed.
     """
 
     cluster_tol: float = 1e-8
@@ -74,7 +75,7 @@ class Tolerances:
             raise InvalidParameterError("cluster_tol must be positive")
         if not (self.conv_tol > 0.0):
             raise InvalidParameterError("conv_tol must be positive")
-        if self.psd_tol < 0.0:
+        if not (self.psd_tol >= 0.0):
             raise InvalidParameterError("psd_tol must be nonnegative")
         if int(self.max_power_doublings) < 1:
             raise InvalidParameterError("max_power_doublings must be a positive integer")

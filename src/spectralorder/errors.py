@@ -30,7 +30,7 @@ class NumericalError(SpectralOrderError):
 
 
 class InvalidParameterError(InvalidInputError, ValueError):
-    """A tolerance or schedule parameter is out of range. Also a ValueError,
+    """A tolerance or probe-count parameter is out of range. Also a ValueError,
     so callers that catch ValueError keep working."""
 
 

@@ -45,7 +45,7 @@ from .core import (
     _svd,
     eigensystem,
 )
-from .errors import DimMismatchError, InvalidFamilyError, NotProjectionError
+from .errors import DimMismatchError, InvalidFamilyError
 
 __all__ = [
     "Projection",
@@ -93,15 +93,6 @@ class Projection:
         """Projection onto the span of (orthonormal) columns; zero for none."""
         cols = np.asarray(columns, dtype=np.complex128).reshape(dim, -1)
         return cls(HermitianMatrix(cols @ cols.conj().T))
-
-    @classmethod
-    def validated(cls, m: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> "Projection":
-        if not is_projection(m, tol):
-            raise NotProjectionError("matrix is not a projection within tolerance")
-        return cls(m)
-
-    def complement(self) -> "Projection":
-        return Projection(HermitianMatrix(np.eye(self.dim) - self.entries))
 
 
 def is_projection(m: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -32,6 +32,7 @@ from .core import (
 from .errors import (
     DimMismatchError,
     InternalLatticeError,
+    InvalidParameterError,
     InvalidSpecError,
     NotCommutingError,
     NotMonotoneError,
@@ -257,6 +258,8 @@ def monotone_probe(
     """
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
+    if probes < 1:
+        raise InvalidParameterError(f"probe count must be at least 1, got {probes}")
     fns = _probe_functions(x, y, probes, seed)
     for name, f in fns:
         if not loewner_leq(functional_calculus(x, f), functional_calculus(y, f), tol):
@@ -626,10 +629,10 @@ def _suite_orthogonal(spec: InstanceSpec, cases: int, tol: Tolerances):
         count = 2 + i % 3
         dim = max(spec.dim, count)
         mats = _gen(s, dim, "orthogonal_family", count=count, spread=spec.spectrum_spread)
-        sup_dev = operator_norm(orthogonal_sup(mats, tol) - spectral_sup(mats, tol))
+        sup_dev = operator_norm(orthogonal_sup(mats) - spectral_sup(mats, tol))
         if sup_dev > 1e-8:
             yield CaseFailure(i, s, "orthogonal_sup", f"deviation {sup_dev:.3e}")
-        inf_dev = operator_norm(orthogonal_inf(mats, tol) - spectral_inf(mats, tol))
+        inf_dev = operator_norm(orthogonal_inf(mats) - spectral_inf(mats, tol))
         if inf_dev > 1e-8:
             yield CaseFailure(i, s, "orthogonal_inf", f"deviation {inf_dev:.3e}")
 

@@ -28,6 +28,11 @@ one dimension, so at most d windows are needed regardless of n. Eigenpairs
 stay arrays throughout: the engine returns (root logs, columns) and an
 iterate is the one product (columns * values) columns^* plus the shift.
 
+The exponents run over n = 2**k for k = 0..``tol.max_power_doublings``; that
+cap is the only setting of the ladder. :func:`run_schedule` stops at the
+first n whose residual ||A_n - A_prev|| is below ``_STOP_TOL * (1 + ||A_n||)``
+with the fixed ``_STOP_TOL = 1e-9``.
+
 Residuals with norm at or below the rounding floor are treated as exactly
 consumed (clamped); content reachable only through components of size
 ~1e-12 of a dominant factor is therefore invisible. Generic spectra keep
@@ -39,7 +44,6 @@ reachable by adversarial near-degenerate construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,7 +64,6 @@ from .core import (
 from .errors import (
     DeltaTooLargeError,
     EigenFailureError,
-    InvalidParameterError,
     NoConvergenceError,
     NotInvertibleError,
     NotOrthogonalError,
@@ -68,7 +71,6 @@ from .errors import (
 )
 
 __all__ = [
-    "PowerSchedule",
     "run_schedule",
     "delta_floor",
     "shifted_power_sup",
@@ -91,35 +93,7 @@ _KEEP_RATIO = 1e-8  # retained eigenvalues keep >= 8 relative digits
 _RESIDUAL_CLAMP = 1e-12  # residual norms at rounding scale count as consumed
 _FRO_MARGIN = 1.0 + 1e-9  # lifts a computed Frobenius norm above any
 #                           computed 2-norm of the same matrix
-
-
-@dataclass(frozen=True)
-class PowerSchedule:
-    """Exponent ladder and stopping rule for the power-mean iterations.
-
-    The default ladder doubles from 1 up to 2**max_power_doublings. The
-    iteration stops once consecutive iterates satisfy
-    ||A_next - A_prev|| < stop_tol * (1 + ||A_next||).
-    """
-
-    exponents: tuple[int, ...] = field(
-        default_factory=lambda: tuple(2**k for k in range(DEFAULT_TOL.max_power_doublings + 1))
-    )
-    stop_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) == 0:
-            raise InvalidParameterError("schedule needs at least one exponent")
-        if self.exponents[0] < 1:
-            raise InvalidParameterError("exponents must be positive integers")
-        if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):
-            raise InvalidParameterError("exponents must be strictly increasing")
-        if not (self.stop_tol > 0.0):
-            raise InvalidParameterError("stop_tol must be positive")
-
-    @classmethod
-    def doubling(cls, max_doublings: int = 48, stop_tol: float = 1e-9) -> "PowerSchedule":
-        return cls(tuple(2**k for k in range(int(max_doublings) + 1)), stop_tol)
+_STOP_TOL = 1e-9  # Cauchy stopping rule: ||A_n - A_prev|| < _STOP_TOL (1 + ||A_n||)
 
 
 def _spectral_range(systems: Sequence[EigenSystem]) -> tuple[float, float]:
@@ -175,13 +149,14 @@ def _graded_root_pairs(
 
 def _power_mean_roots(
     eigs: Sequence[tuple[np.ndarray, np.ndarray]],
-    exponents: Sequence[int],
+    max_doublings: int,
     normalize: bool,
     inv_sign: float,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (n, values, columns), the eigenpairs of (sum_y y^n / c)^(inv_sign / n)
-    for each exponent n, from the (eigenvalues, eigenvectors) of each y. Only
-    strictly positive eigenvalues contribute; c = len(eigs) if ``normalize``."""
+    for n = 2**k, k = 0..max_doublings, from the (eigenvalues, eigenvectors) of
+    each y. Only strictly positive eigenvalues contribute; c = len(eigs) if
+    ``normalize``."""
     w = np.concatenate([vals for vals, _ in eigs])
     u = np.concatenate([vecs for _, vecs in eigs], axis=1)
     pos = w > 0.0
@@ -190,24 +165,24 @@ def _power_mean_roots(
     logs = np.log(w / scale)
     log_c = math.log(len(eigs)) if normalize else 0.0
     log_scale = inv_sign * math.log(scale)
-    for n in exponents:
+    for n in (2**k for k in range(int(max_doublings) + 1)):
         root_logs, cols = _graded_root_pairs(n * logs - log_c, u, inv_sign / n)
         yield n, np.exp(root_logs + log_scale), cols
 
 
-def _check_shift(delta: float, norm: float, sched: PowerSchedule) -> None:
+def _check_shift(delta: float, norm: float) -> None:
     """Reject a shift whose rounding, eps * |delta| on every shifted eigenvalue,
     exceeds the stopping rule at the input scale: the limit would be wrong."""
-    if np.finfo(float).eps * abs(delta) > sched.stop_tol * (1.0 + norm):
-        raise DeltaTooLargeError(f"shift {delta} is too large: its rounding exceeds stop_tol")
+    if np.finfo(float).eps * abs(delta) > _STOP_TOL * (1.0 + norm):
+        raise DeltaTooLargeError(
+            f"shift {delta} is too large: its rounding exceeds the stopping rule"
+        )
 
 
 def run_schedule(
-    iterates: Iterator[tuple[int, HermitianMatrix]],
-    sched: PowerSchedule,
-    what: str,
+    iterates: Iterator[tuple[int, HermitianMatrix]], what: str
 ) -> tuple[HermitianMatrix, list[tuple[int, float]]]:
-    """Run iterates until the Cauchy stopping rule of ``sched`` holds.
+    """Run iterates until the Cauchy stopping rule holds.
 
     Returns the limit and the residual trace [(n, ||A_n - A_prev||), ...].
 
@@ -229,7 +204,7 @@ def run_schedule(
             # taken with the Frobenius norm (widened past its roundoff)
             # cannot stop the run, so the exact norm is skipped.
             fro = _FRO_MARGIN * float(np.linalg.norm(current.entries))
-            if residual < sched.stop_tol * (1.0 + fro) and residual < sched.stop_tol * (
+            if residual < _STOP_TOL * (1.0 + fro) and residual < _STOP_TOL * (
                 1.0 + operator_norm(current)
             ):
                 return current, trace
@@ -247,11 +222,11 @@ def run_schedule(
 def power_sup_iterates(
     mats: Sequence[HermitianMatrix],
     delta: float | None = None,
-    sched: PowerSchedule | None = None,
     normalize: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Iterator[tuple[int, HermitianMatrix]]:
-    """Yield (n, delta I + (sum_x (x - delta I)^n / c)^(1/n)) along the schedule.
+    """Yield (n, delta I + (sum_x (x - delta I)^n / c)^(1/n)) for n = 2**k,
+    k = 0..tol.max_power_doublings.
 
     This is the trace surface behind :func:`shifted_power_sup`; the CLI runs
     it through :func:`run_schedule` to report per-exponent residuals.
@@ -267,17 +242,15 @@ def power_sup_iterates(
             f"shift {delta} exceeds the admissible floor {floor}; "
             "a shifted element would not be positive semidefinite"
         )
-    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
-    _check_shift(delta, norm, sched)
+    _check_shift(delta, norm)
     shifted = [(es.eigenvalues - delta, es.eigenvectors) for es in systems]
-    for n, vals, cols in _power_mean_roots(shifted, sched.exponents, normalize, +1.0):
+    for n, vals, cols in _power_mean_roots(shifted, tol.max_power_doublings, normalize, +1.0):
         yield n, HermitianMatrix(delta * np.eye(dim) + (cols * vals) @ cols.conj().T)
 
 
 def shifted_power_sup(
     mats: Sequence[HermitianMatrix],
     delta: float | None = None,
-    sched: PowerSchedule | None = None,
     normalize: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> HermitianMatrix:
@@ -295,20 +268,16 @@ def shifted_power_sup(
     DeltaTooLargeError
         If delta exceeds the floor, so some x - delta I is not PSD.
     NoConvergenceError
-        If the Cauchy stopping rule is not met within the schedule; the
+        If the Cauchy stopping rule is not met by n = 2**max_power_doublings; the
         error carries the last iterate and residual trace.
     """
-    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
-    limit, _ = run_schedule(
-        power_sup_iterates(mats, delta, sched, normalize, tol), sched, "power-mean supremum"
-    )
+    limit, _ = run_schedule(power_sup_iterates(mats, delta, normalize, tol), "power-mean supremum")
     return limit
 
 
 def power_inf_iterates(
     mats: Sequence[HermitianMatrix],
     delta: float | None = None,
-    sched: PowerSchedule | None = None,
     normalize: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Iterator[tuple[int, HermitianMatrix]]:
@@ -326,9 +295,8 @@ def power_inf_iterates(
                 f"the invertibility floor {INVERTIBILITY_FLOOR:.0e}"
             )
     inverted = [(1.0 / (es.eigenvalues + delta), es.eigenvectors) for es in systems]
-    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
-    _check_shift(delta, norm, sched)
-    for n, vals, cols in _power_mean_roots(inverted, sched.exponents, normalize, -1.0):
+    _check_shift(delta, norm)
+    for n, vals, cols in _power_mean_roots(inverted, tol.max_power_doublings, normalize, -1.0):
         if cols.shape[1] < dim:
             raise EigenFailureError(
                 "inverse power mean lost rank; shifted inputs are too close "
@@ -340,7 +308,6 @@ def power_inf_iterates(
 def inverse_power_inf(
     mats: Sequence[HermitianMatrix],
     delta: float | None = None,
-    sched: PowerSchedule | None = None,
     normalize: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> HermitianMatrix:
@@ -351,17 +318,13 @@ def inverse_power_inf(
     pushes the binding element's smallest eigenvalue to one, minimizing the
     dynamic range of the inverted family.
     """
-    sched = sched or PowerSchedule.doubling(tol.max_power_doublings)
-    limit, _ = run_schedule(
-        power_inf_iterates(mats, delta, sched, normalize, tol), sched, "power-mean infimum"
-    )
+    limit, _ = run_schedule(power_inf_iterates(mats, delta, normalize, tol), "power-mean infimum")
     return limit
 
 
 def harmonic_pair_inf(
     x: HermitianMatrix,
     y: HermitianMatrix,
-    sched: PowerSchedule | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> HermitianMatrix:
     """Pair infimum via iterated harmonic means of powers.
@@ -371,7 +334,7 @@ def harmonic_pair_inf(
     normalized inverse power mean with zero shift, and the iterates are
     computed by exactly that code path.
     """
-    return inverse_power_inf([x, y], delta=0.0, sched=sched, normalize=True, tol=tol)
+    return inverse_power_inf([x, y], delta=0.0, normalize=True, tol=tol)
 
 
 def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
@@ -389,9 +352,7 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
                 )
 
 
-def orthogonal_sup(
-    mats: Sequence[HermitianMatrix], tol: Tolerances = DEFAULT_TOL
-) -> HermitianMatrix:
+def orthogonal_sup(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
     """Supremum of mutually orthogonal elements: the sum of positive parts."""
     _check_set(mats)
     _check_orthogonal(mats)
@@ -401,9 +362,7 @@ def orthogonal_sup(
     return out
 
 
-def orthogonal_inf(
-    mats: Sequence[HermitianMatrix], tol: Tolerances = DEFAULT_TOL
-) -> HermitianMatrix:
+def orthogonal_inf(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
     """Infimum of mutually orthogonal elements: minus the sum of negative parts."""
     _check_set(mats)
     _check_orthogonal(mats)

@@ -241,8 +241,15 @@ class TestMalformedInput:
             (["compare", "--names", "a,b"], "[[NaN, 0], [0, 3]]", None),
             (["lattice", "--mode", "sup"], "[[1, 0], [0, Infinity]]", None),
             (["limits", "--formula", "inverse", "--delta", "1e17"], "[[1, 0], [0, 3]]", None),
+            (["compare", "--names", "a,b", "--tol-psd", "nan"], "[[1, 0], [0, 3]]", None),
+            (["lattice", "--mode", "sup", "--tol-psd", "nan"], "[[1, 0], [0, 3]]", None),
+            (["compare", "--names", "a,b", "--probes", "0"], "[[1, 0], [0, 3]]", None),
+            (["compare", "--names", "a,b", "--probes", "-20"], "[[1, 0], [0, 3]]", None),
         ],
-        ids=["tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf", "huge_delta"],
+        ids=[
+            "tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf", "huge_delta",
+            "compare_tol_psd_nan", "lattice_tol_psd_nan", "probes_zero", "probes_negative",
+        ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, monkeypatch, command, first, seed_var):
         path = tmp_path / "doc.json"
@@ -256,6 +263,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"format_version": "1", "dim": 2, "matrices": 5}',
+            '{"format_version": "1", "dim": 2, "matrices": null}',
+            '{"format_version": "1", "dim": 1e400, "matrices": []}',
+        ],
+        ids=["matrices_number", "matrices_null", "dim_overflow"],
+    )
+    def test_malformed_document_exits_two(self, tmp_path, capsys, document):
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        code = main(["lattice", "--mode", "sup", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: InputError") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_lattice_midpoint_failure_exits_three(self, tmp_path, capsys):

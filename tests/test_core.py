@@ -249,6 +249,7 @@ class TestTolerances:
             {"cluster_tol": 0.0},
             {"conv_tol": -1.0},
             {"psd_tol": -1e-3},
+            {"psd_tol": float("nan")},
             {"max_power_doublings": 0},
         ],
     )

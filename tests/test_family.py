@@ -311,11 +311,6 @@ class TestProjectionType:
     def test_rank_and_complement(self):
         p = so.Projection(h([[1, 0], [0, 0]]))
         assert p.rank == 1
-        assert np.allclose(p.complement().entries, np.diag([0.0, 1.0]))
-
-    def test_validated_rejects_non_projection(self):
-        with pytest.raises(errors.NotProjectionError):
-            so.Projection.validated(h([[0.5, 0], [0, 0.5]]))
 
     def test_is_projection(self):
         assert so.is_projection(so.identity(3))

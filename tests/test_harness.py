@@ -97,6 +97,12 @@ class TestMonotoneProbe:
         m = gen(2)[0]
         assert so.monotone_probe(m, m).status == "consistent"
 
+    @pytest.mark.parametrize("probes", [0, -20])
+    def test_rejects_non_positive_probe_count(self, probes):
+        m = gen(2)[0]
+        with pytest.raises(errors.InvalidParameterError):
+            so.monotone_probe(m, m, probes=probes)
+
 
 class TestPowerOrderProbe:
     def test_commuting_dominance_holds(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors
-from spectralorder.limits import PowerSchedule, _graded_root_pairs
+from spectralorder import errors, limits
+from spectralorder.limits import _graded_root_pairs
 
 
 def h(rows):
@@ -25,18 +25,11 @@ def iterate_at(mats, n, **kwargs):
     raise AssertionError(f"exponent {n} not in schedule")
 
 
-class TestPowerSchedule:
-    def test_default_ladder(self):
-        sched = PowerSchedule.doubling(5)
-        assert sched.exponents == (1, 2, 4, 8, 16, 32)
-
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            PowerSchedule(exponents=(1, 2, 2))
-
-    def test_rejects_zero_exponent(self):
-        with pytest.raises(ValueError):
-            PowerSchedule(exponents=(0, 1))
+class TestExponentLadder:
+    def test_ladder_doubles_up_to_the_cap(self):
+        iterates = so.power_sup_iterates(gen(2, count=2), tol=so.Tolerances(max_power_doublings=5))
+        ladder = [n for n, _ in iterates]
+        assert ladder == [1, 2, 4, 8, 16, 32]
 
 
 class TestDeltaFloor:
@@ -123,7 +116,7 @@ class TestShiftedPowerSup:
 
     def test_no_convergence_carries_last_iterate(self):
         with pytest.raises(errors.NoConvergenceError) as exc:
-            so.shifted_power_sup(gen(3, count=2), sched=PowerSchedule.doubling(3))
+            so.shifted_power_sup(gen(3, count=2), tol=so.Tolerances(max_power_doublings=3))
         assert isinstance(exc.value.last_iterate, so.HermitianMatrix)
         assert [n for n, _ in exc.value.trace] == [2, 4, 8]
 
@@ -144,14 +137,13 @@ class TestShiftedPowerSup:
         assert dev < 1e-6
 
     def test_delta_invariance(self):
-        sched = PowerSchedule.doubling(48)
         mats = gen(13, count=3)
         floor = so.delta_floor(mats)
         answers = [so.shifted_power_sup(mats, delta=floor - off) for off in (0.0, 1.0, 10.0)]
         scale = 1.0 + so.operator_norm(answers[0])
         for a in answers:
             for b in answers:
-                assert so.operator_norm(a - b) <= 2.0 * sched.stop_tol * scale
+                assert so.operator_norm(a - b) <= 2.0 * limits._STOP_TOL * scale
 
     def test_scaling_identity(self):
         mats = gen(4, count=2)
@@ -203,8 +195,7 @@ class TestInversePowerInf:
     @pytest.mark.parametrize("seed", range(6))
     def test_route_agreement_within_forty_doublings(self, seed):
         mats = gen(seed, kind="positive_definite", count=2)
-        sched = PowerSchedule.doubling(40)
-        out = so.inverse_power_inf(mats, delta=0.0, sched=sched)
+        out = so.inverse_power_inf(mats, delta=0.0, tol=so.Tolerances(max_power_doublings=40))
         assert so.operator_norm(out - so.spectral_inf(mats)) < 1e-6
 
     def test_rejects_shift_that_rounds_the_spectrum_away(self):

@@ -102,7 +102,9 @@ class TestMeetJoin:
         join_pq = so.proj_join([p, q])
         assert so.proj_leq(meet_pq, p) and so.proj_leq(p, join_pq)
         # De Morgan cross-check through complements
-        dual = so.proj_meet([p.complement(), q.complement()]).complement()
+        eye = so.identity(p.dim)
+        meet_of_complements = so.proj_meet([so.Projection(eye - p.matrix), so.Projection(eye - q.matrix)])
+        dual = eye - meet_of_complements.matrix
         assert np.allclose(dual.entries, join_pq.entries, atol=1e-10)
 
     def test_meet_rejects_empty(self):
