@@ -37,7 +37,7 @@ import numpy as np
 
 from . import errors
 from .core import HermitianMatrix, Tolerances, loewner_leq, make_hermitian, operator_norm
-from .family import borderline_gap, spectral_family_of, spectral_leq
+from .family import SpectralFamily, borderline_gap, reconstruct, spectral_leq
 from .harness import (
     INSTANCE_KINDS,
     SUITE_IDS,
@@ -46,7 +46,7 @@ from .harness import (
     monotone_probe,
     run_suite,
 )
-from .lattice import spectral_inf, spectral_sup
+from .lattice import lattice_family, spectral_inf, spectral_sup
 from .limits import orthogonal_sup, power_inf_iterates, power_sup_iterates, run_schedule
 
 EXIT_OK = 0
@@ -132,8 +132,7 @@ def _tolerances(args) -> Tolerances:
     )
 
 
-def _family_summary(h: HermitianMatrix, tol: Tolerances) -> dict:
-    sf = spectral_family_of(h, tol)
+def _family_summary(sf: SpectralFamily) -> dict:
     return {
         "breakpoints": [float(b) for b in sf.breakpoints],
         "ranks": [int(r) for r in sf.ranks],
@@ -201,14 +200,13 @@ def cmd_lattice(args) -> int:
     names = args.names.split(",") if args.names else list(named)
     mats = _pick(named, names)
     start = time.perf_counter()
-    op = spectral_sup if args.mode == "sup" else spectral_inf
-    result = op(mats, tol)
-    doc = matrices_to_document([(args.mode, result)])
+    sf = lattice_family(mats, args.mode, tol)
+    doc = matrices_to_document([(args.mode, reconstruct(sf, tol))])
     report = {
         "command": "lattice",
         "mode": args.mode,
         "names": names,
-        "result_family": _family_summary(result, tol),
+        "result_family": _family_summary(sf),
         "timing": {"wall_time_s": time.perf_counter() - start},
     }
     if args.output:

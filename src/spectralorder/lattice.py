@@ -1,28 +1,27 @@
 """Suprema and infima of finite Hermitian sets in the spectral order.
 
-The supremum's spectral family is the pointwise meet of the input families;
-the infimum's is the pointwise join. With finitely many matrices both
-constructions are step functions on the merged breakpoint grid, already
-right continuous, so the pointwise formulas reconstruct the answers exactly
-up to clustering. The right-continuity regularization needed for infinite
-sets is a structural no-op here; a debug check (``__debug__``) verifies step
-constancy at interval midpoints.
+The supremum's spectral family is the pointwise meet of the input families.
+With finitely many matrices it is a step function on the merged breakpoint
+grid, already right continuous, so the pointwise formula reconstructs the
+answer exactly up to clustering. The right-continuity regularization needed
+for infinite sets is a structural no-op here; a debug check (``__debug__``)
+verifies step constancy at interval midpoints. Negation reverses the
+spectral order, so the infimum is -sup(-x) and needs no code of its own.
 
-Both constructions run on the input families as
-:class:`spectralorder.family.SpectralFamily` (eigenvectors plus cumulative
-ranks). At a
-grid point with input ranks (r_1, ..., r_k) the sum of the input values is
-sum_i U_i[:, :r_i] U_i[:, :r_i]*, one matrix product of the stacked
-columns; its eigenvalues lie in [0, k], and the meet (join) is the span of
-the eigenvectors whose eigenvalue is within the slack of k (above the
-slack), as in :func:`spectralorder.projections.proj_meet`. The inputs are
-checked once, for orthonormal eigenvectors, instead of being re-validated as
-projections at every grid point. The cost is one eigendecomposition per
-input and one per grid point, plus, for the monotonicity check between
-consecutive grid points, a matrix product whose exact 2-norm (an SVD) is
-taken only when its Frobenius norm exceeds the threshold. The answer is one
-orthonormal basis, extended at each rank jump by a small SVD, plus the ranks
-at the jumps; no dense projection is formed.
+The inputs are :class:`spectralorder.family.SpectralFamily` objects
+(eigenvectors plus cumulative ranks), checked once for orthonormal
+eigenvectors. At a grid point with input ranks (r_1, ..., r_k) the sum of
+the input values is S = sum_i U_i[:, :r_i] U_i[:, :r_i]*; its eigenvalues
+lie in [0, k], and the meet is the eigenspace within the slack of k, as in
+:func:`spectralorder.projections.proj_meet`. The families increase, so the
+meet found so far lies in every later value and is an invariant subspace of
+every later S: the next meet is the eigenspace of the compression of S onto
+the complement (exact deflation). One pass carries one unitary basis whose
+leading columns span the meet so far; the block of S coupling the meet to
+the complement is the monotonicity check. The cost is one
+eigendecomposition per input and one per grid point, on shrinking
+compressions, and an SVD only when a coupling block's Frobenius norm
+exceeds the threshold. No dense projection is formed.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
-    _svd,
     eigensystem,
     identity,
     operator_norm,
@@ -46,6 +44,7 @@ from .core import (
 from .errors import (
     ClassViolationError,
     InternalLatticeError,
+    InvalidParameterError,
     NonPositiveScaleError,
 )
 from .family import (
@@ -58,8 +57,8 @@ from .family import (
     spectral_leq,
 )
 
-# Not called here: the lattice route computes meets and joins on the
-# eigenvector bases. The names stay bound because the benchmark's tracer tests install
+# Not called here: the lattice route computes its meets on the eigenvector
+# bases, and joins as meets of the negated set. The names stay bound because the benchmark's tracer tests install
 # and remove wrappers on ``lattice.proj_meet``.
 from .projections import proj_join, proj_meet  # noqa: F401
 
@@ -80,21 +79,34 @@ def lattice_family(
     mode: Literal["sup", "inf"],
     tol: Tolerances = DEFAULT_TOL,
 ) -> SpectralFamily:
-    """Spectral family of the supremum or infimum of a finite set.
-
-    Evaluates every input family on the merged clustered breakpoint grid,
-    takes the projection meet (sup) or join (inf) at each point, verifies
-    monotonicity, and drops grid points where the rank does not jump.
+    """Spectral family of the supremum (``"sup"``) or infimum (``"inf"``)
+    of a finite set: the pointwise meet of the input families, built in one
+    deflated pass on one basis, or for the infimum the reflected family of
+    -sup(-x).
 
     Raises
     ------
+    InvalidParameterError
+        If ``mode`` is neither ``"sup"`` nor ``"inf"``.
     InternalLatticeError
         If an input's eigenvectors are not orthonormal within cluster_tol,
-        or the pointwise lattice values are not monotone within tolerance
-        (under ``__debug__``, also not constant between grid points).
+        the meet found so far is not invariant under a later sum within
+        tolerance, or the meets do not end at the identity (under
+        ``__debug__``, also if they are not constant between grid points).
         That signals a tolerance misconfiguration and is never repaired by
         re-sorting.
     """
+    if mode == "sup":
+        return _sup_family(mats, tol)
+    if mode != "inf":
+        raise InvalidParameterError(f"mode must be 'sup' or 'inf', got {mode!r}")
+    # Eigenvalue b_j of -sup(-x), on columns r_{j-1}..r_j, is -b_j of inf(x).
+    sf = _sup_family([-m for m in mats], tol)
+    ranks = sf.dim - np.concatenate(([0], sf.ranks[:-1]))[::-1]
+    return SpectralFamily(-sf.breakpoints[::-1], sf.vectors[:, ::-1], ranks)
+
+
+def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFamily:
     dim = _check_set(mats)
     families = [spectral_family_of(m, tol) for m in mats]
     # Orthonormal eigenvectors make every cut of them a projection, so the
@@ -108,33 +120,14 @@ def lattice_family(
     grid = cluster_values(
         np.concatenate([f.breakpoints for f in families]), tol.cluster_tol
     )
-    slack = min(0.5, len(mats) * tol.cluster_tol)
-    cut = len(mats) - slack if mode == "sup" else slack
-
-    def combine(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvectors of the sum of the input values at ``ranks`` and the
-        mask of those spanning their meet (sup) or join (inf)."""
-        cols = np.concatenate([f.vectors[:, :r] for f, r in zip(families, ranks)], axis=1)
-        w, v = _eigh(cols @ cols.conj().T)
-        return v, w > cut
+    cut = len(mats) - min(0.5, len(mats) * tol.cluster_tol)
+    thr = 10.0 * tol.psd_tol
 
     def ranks_at(lams: np.ndarray, reach: float) -> np.ndarray:
         return np.stack([f.ranks_at(lams, reach) for f in families], axis=1)
 
     grid_ranks = ranks_at(grid, tol.cluster_tol)
-    values = [combine(r) for r in grid_ranks]
-
-    thr = 10.0 * tol.psd_tol
-    for (va, ma), (vb, mb) in zip(values, values[1:]):
-        defect = _screened_norm(vb[:, ~mb].conj().T @ va[:, ma], thr)
-        if defect > thr:
-            raise InternalLatticeError(
-                f"{mode} family lost monotonicity (defect {defect:.3e}); "
-                "check cluster_tol/psd_tol against the input spectra"
-            )
-    if not values[-1][1].all():
-        raise InternalLatticeError(f"{mode} family does not terminate at the identity")
-
+    midpoints = {}
     if __debug__:
         # Step constancy between grid points (the finite-set shadow of the
         # right-continuity regularization). Skip near-merged gaps where the
@@ -143,34 +136,39 @@ def lattice_family(
         # value there is the same computation.
         mid_ranks = ranks_at(0.5 * (grid[:-1] + grid[1:]), 0.0)
         wide = np.diff(grid) >= 10.0 * tol.cluster_tol
-        for i in np.flatnonzero(wide & np.any(mid_ranks != grid_ranks[:-1], axis=1)):
-            vm, mm = combine(mid_ranks[i])
-            v, m = values[i]
-            # Equal-rank projections p, q have ||p - q|| = ||(1 - q) p||.
-            if mm.sum() != m.sum() or _screened_norm(v[:, ~m].conj().T @ vm[:, mm], thr) > thr:
-                raise InternalLatticeError(
-                    f"{mode} family is not constant between merged breakpoints"
-                )
+        changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
+        midpoints = {i: mid_ranks[i] for i in np.flatnonzero(wide & changed)}
 
-    # Keep only rank jumps; equal ranks in a monotone chain mean equal
-    # projections, so dropped points carry no spectral weight. Each jump
-    # extends one orthonormal basis q with the new range c, turned by the
-    # left singular vectors of c* q beyond the old rank: those columns lie
-    # in range(c) and are orthogonal to c c* q, hence to q.
-    q = np.empty((dim, dim), dtype=np.complex128)
-    breakpoints: list[float] = []
-    ranks: list[int] = []
-    prev_rank = 0
-    for lam, (v, m) in zip(grid, values):
-        rank = int(m.sum())
-        if rank > prev_rank:
-            c = v[:, m]
-            if prev_rank:
-                c = c @ _svd(c.conj().T @ q[:, :prev_rank])[0][:, prev_rank:]
-            q[:, prev_rank:rank] = c
+    # The first ``rank`` columns of q span the meet found so far.
+    q = np.eye(dim, dtype=np.complex128)
+    rank = 0
+
+    def deflate(at: np.ndarray) -> tuple[np.ndarray, int]:
+        """Eigenvectors of the sum at input ranks ``at`` compressed onto the
+        complement of the meet, largest first, and how many extend it."""
+        cols = np.concatenate([f.vectors[:, :r] for f, r in zip(families, at)], axis=1)
+        g = q.conj().T @ cols
+        coupling = _screened_norm(g[rank:] @ g[:rank].conj().T, thr)
+        if coupling > thr:
+            raise InternalLatticeError(
+                f"lattice family lost monotonicity (defect {coupling:.3e}); "
+                "check cluster_tol/psd_tol against the input spectra"
+            )
+        w, v = _eigh(g[rank:] @ g[rank:].conj().T)
+        return v[:, ::-1], int(np.count_nonzero(w > cut))
+
+    breakpoints, ranks = [], []
+    for i, (lam, r) in enumerate(zip(grid, grid_ranks)):
+        v, new = deflate(r)
+        if new:
+            q[:, rank:] = q[:, rank:] @ v
+            rank += new
             breakpoints.append(float(lam))
             ranks.append(rank)
-            prev_rank = rank
+        if i in midpoints and deflate(midpoints[i])[1]:
+            raise InternalLatticeError("lattice family is not constant between merged breakpoints")
+    if rank != dim:
+        raise InternalLatticeError("lattice family does not terminate at the identity")
     return SpectralFamily(np.asarray(breakpoints), q, np.asarray(ranks))
 
 
@@ -225,17 +223,15 @@ def _class_membership(
     m: HermitianMatrix, klass: str, tol: Tolerances
 ) -> tuple[bool, str]:
     w = eigensystem(m).eigenvalues
-    slack = tol.psd_tol * (1.0 + float(np.max(np.abs(w))))
+    nrm = float(np.max(np.abs(w)))
+    positive = bool(w[0] >= -tol.psd_tol * (1.0 + nrm)), f"lambda_min = {float(w[0]):.3e}"
+    unit_ball = nrm <= 1.0 + tol.psd_tol, f"norm = {nrm:.6f}"
     if klass == "positive":
-        ok = bool(w[0] >= -slack)
-        return ok, f"lambda_min = {float(w[0]):.3e}"
+        return positive
     if klass == "unit_ball":
-        nrm = float(np.max(np.abs(w)))
-        return nrm <= 1.0 + tol.psd_tol, f"norm = {nrm:.6f}"
+        return unit_ball
     if klass == "effect":
-        ok_pos, wit_pos = _class_membership(m, "positive", tol)
-        ok_ball, wit_ball = _class_membership(m, "unit_ball", tol)
-        return ok_pos and ok_ball, f"{wit_pos}; {wit_ball}"
+        return positive[0] and unit_ball[0], f"{positive[1]}; {unit_ball[1]}"
     if klass == "projection":
         ok = _is_projection_spectrum(w, tol)
         return ok, f"spectrum = {np.round(w, 6).tolist()}"

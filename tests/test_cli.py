@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors
-from spectralorder.cli import main, matrices_to_document
+from spectralorder import errors, lattice
+from spectralorder.cli import load_document, main, matrices_to_document
 
 
 FIXTURE = {
@@ -99,6 +99,30 @@ class TestLattice:
         assert code == 0
         got = np.asarray(rep["result_document"]["matrices"][0]["re"])
         assert np.allclose(got, np.diag([1.0, 3.0]), atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["sup", "inf"])
+    def test_decomposes_like_the_library(self, tmp_path, capsys, monkeypatch, mode):
+        mats = so.gen_instances(so.InstanceSpec(dim=6, seed=4, kind="generic", count=3))
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(matrices_to_document([(f"m{i}", m) for i, m in enumerate(mats)])))
+        loaded = list(load_document(str(path), so.DEFAULT_TOL).values())
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        lattice.lattice_family(loaded, mode)
+        library = len(calls)
+        calls.clear()
+        code, rep = run(capsys, "lattice", "--input", str(path), "--mode", mode)
+        assert code == 0
+        assert len(calls) == library
+        op = so.spectral_sup if mode == "sup" else so.spectral_inf
+        doc = matrices_to_document([(mode, op(loaded))])
+        assert rep["result_document"] == json.loads(json.dumps(doc))
 
 
 class TestLimits:

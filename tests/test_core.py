@@ -119,6 +119,11 @@ class TestEigenFailure:
         with pytest.raises(errors.EigenFailureError):
             harness._refine_blocks(np.eye(2), [np.eye(2)], 1e-8)
 
+    @pytest.mark.parametrize("op", [so.spectral_sup, so.spectral_inf], ids=["spectral_sup", "spectral_inf"])
+    def test_lattice_route(self, op):
+        with pytest.raises(errors.EigenFailureError):
+            op([h([[1, 0], [0, 2]]), h([[3, 1], [1, 4]])])
+
 
 class TestSvdFailure:
     """A backend SVD failure surfaces as EigenFailureError, 2-norms included
@@ -134,16 +139,13 @@ class TestSvdFailure:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: so.spectral_sup(
-                so.gen_instances(so.InstanceSpec(dim=8, seed=1, kind="generic", count=3))
-            ),
             lambda: so.spectral_leq(h([[1, 0], [0, 0]]), h([[1.5, 0.5], [0.5, 0.5]])),
             lambda: so.proj_leq(so.Projection(h([[1, 0], [0, 0]])), so.Projection(h([[0.5, 0.5], [0.5, 0.5]]))),
             lambda: so.orthogonal_sup([h([[1, 0], [0, 0]]), h([[0, 0], [0, 2]])]),
             lambda: so.alternating_meet_oracle(so.Projection.identity(2), so.Projection.identity(2)),
             lambda: so.commuting_oracle([h([[1, 0], [0, 2]]), h([[3, 0], [0, 4]])], "sup"),
         ],
-        ids=["spectral_sup", "spectral_leq", "proj_leq", "orthogonal_sup", "alternating_meet", "commuting_oracle"],
+        ids=["spectral_leq", "proj_leq", "orthogonal_sup", "alternating_meet", "commuting_oracle"],
     )
     def test_raises_eigen_failure(self, call):
         with pytest.raises(errors.EigenFailureError):

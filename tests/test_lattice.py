@@ -21,6 +21,22 @@ P_E1 = h([[1, 0], [0, 0]])
 P_DIAG = h([[0.5, 0.5], [0.5, 0.5]])
 
 
+def dense_lattice(mats, mode, tol=so.DEFAULT_TOL):
+    """The paper's definition, independent of lattice_family: every input
+    family evaluated on the merged grid, combined by the projection meet
+    (sup) or join (inf), and rebuilt as sum lambda_i (P_i - P_{i-1})."""
+    families = [so.spectral_family_of(m, tol) for m in mats]
+    grid = cluster_values(np.concatenate([f.breakpoints for f in families]), tol.cluster_tol)
+    combine = so.proj_meet if mode == "sup" else so.proj_join
+    out = np.zeros((mats[0].dim,) * 2, dtype=complex)
+    prev = np.zeros_like(out)
+    for lam in grid:
+        p = combine([so.evaluate_at(f, lam + tol.cluster_tol) for f in families], tol).entries
+        out += lam * (p - prev)
+        prev = p
+    return out
+
+
 class TestSupInfExamples:
     def test_commuting_sup_is_max(self):
         assert np.allclose(so.spectral_sup([A13, B22]).entries, np.diag([2.0, 3.0]), atol=1e-10)
@@ -124,6 +140,52 @@ class TestLatticeFamily:
                 prev = p.entries
             assert np.linalg.norm(so.reconstruct(sf).entries - dense, 2) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["generic", "positive", "effect", "projection", "commuting_family"])
+    @pytest.mark.parametrize("mode", ["sup", "inf"])
+    def test_matches_pointwise_dense_definition(self, kind, mode):
+        op = so.spectral_sup if mode == "sup" else so.spectral_inf
+        for dim in (6, 12):
+            for count in (2, 3):
+                mats = gen(11, dim=dim, kind=kind, count=count)
+                ref = dense_lattice(mats, mode)
+                dev = np.linalg.norm(op(mats).entries - ref, 2)
+                assert dev <= 1e-10 * (1.0 + np.linalg.norm(ref, 2))
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(errors.InvalidParameterError):
+            lattice.lattice_family([A13, B22], "max")
+
+    def test_coupling_guard(self, monkeypatch):
+        # The first deflation reports its bottom eigenvector as a meet
+        # column; the next sum does not leave that vector invariant.
+        eigh = lattice._eigh
+        calls = []
+
+        def misordered(a):
+            w, v = eigh(a)
+            calls.append(a.shape)
+            if len(calls) > 1:
+                return w, v
+            return np.append(w[:-1], np.inf), v[:, ::-1]
+
+        monkeypatch.setattr(lattice, "_eigh", misordered)
+        with pytest.raises(errors.InternalLatticeError, match="monotonicity"):
+            lattice.lattice_family(gen(4, count=2), "sup")
+
+    def test_midpoint_guard(self):
+        # Breakpoints 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into one grid
+        # point at their mean, but the last lies beyond the evaluation
+        # slack. At the next midpoint all four inputs contain e1, so the
+        # meet jumps between grid points.
+        mats = [h(np.diag([b, 1.0])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]
+        with pytest.raises(errors.InternalLatticeError, match="not constant"):
+            lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
+
+    def test_termination_guard(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_eigh", lambda a: (np.zeros(len(a)), np.eye(len(a))))
+        with pytest.raises(errors.InternalLatticeError, match="terminate"):
+            lattice.lattice_family(gen(4, count=2), "sup")
+
     def test_checks_input_eigenbases_once(self):
         # Roundoff in the eigenvectors exceeds a cluster_tol of 1e-18.
         with pytest.raises(errors.InternalLatticeError, match="orthonormal"):
@@ -178,6 +240,7 @@ class TestCostModel:
 
 
     def test_projection_membership_decomposes_once(self, monkeypatch):
+        effect = gen(8, kind="effect")[0]
         calls = []
         eigh = np.linalg.eigh
 
@@ -189,6 +252,10 @@ class TestCostModel:
         assert lattice._class_membership(P_DIAG, "projection", so.DEFAULT_TOL)[0]
         assert not lattice._class_membership(A13, "projection", so.DEFAULT_TOL)[0]
         assert len(calls) == 2
+        for klass in lattice.OPERATOR_CLASSES:
+            calls.clear()
+            assert lattice._class_membership(effect, klass, so.DEFAULT_TOL)[0] == (klass != "projection")
+            assert len(calls) == 1, klass
 
 
 class TestOrderBounds:
