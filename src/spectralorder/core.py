@@ -279,7 +279,11 @@ def functional_calculus(h: HermitianMatrix, f: Callable[[float], float]) -> Herm
     ``f`` is called once per eigenvalue (no vectorization requirement); the
     result is U diag(f(lambda_i)) U*, exact on the spectrum.
     """
-    es = eigensystem(h)
+    return _apply_to_system(eigensystem(h), f)
+
+
+def _apply_to_system(es: EigenSystem, f: Callable[[float], float]) -> HermitianMatrix:
+    """:func:`functional_calculus` on an eigendecomposition already computed."""
     vals = np.array([float(f(float(v))) for v in es.eigenvalues])
     u = es.eigenvectors
     return HermitianMatrix((u * vals) @ u.conj().T)

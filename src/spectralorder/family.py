@@ -42,6 +42,7 @@ from .core import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
+    _eigvalsh,
     _svd,
     eigensystem,
 )
@@ -280,10 +281,9 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
 def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the clustering of the merged spectra was close: a gap lies
     in (cluster_tol, 10 * cluster_tol), or gaps each within cluster_tol
-    chain into a cluster wider than 10 * cluster_tol."""
-    vals = np.sort(
-        np.concatenate([eigensystem(x).eigenvalues, eigensystem(y).eigenvalues])
-    )
+    chain into a cluster wider than 10 * cluster_tol. Only the eigenvalues
+    are needed, so no eigenvectors are computed."""
+    vals = np.sort(np.concatenate([_eigvalsh(x.entries), _eigvalsh(y.entries)]))
     gaps = np.diff(vals)
     ends = _clusters(vals, tol.cluster_tol)[1]
     widths = vals[ends - 1] - vals[ends - np.diff(ends, prepend=0)]

@@ -19,11 +19,12 @@ from .core import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
+    EigenSystem,
+    _apply_to_system,
     _eigh,
     _eigvalsh,
     _svd,
     eigensystem,
-    functional_calculus,
     identity,
     loewner_leq,
     loewner_slack,
@@ -214,11 +215,9 @@ class ProbeVerdict:
 
 
 def _probe_functions(
-    x: HermitianMatrix, y: HermitianMatrix, probes: int, seed: int
+    ex: EigenSystem, ey: EigenSystem, probes: int, seed: int
 ) -> list[tuple[str, Callable[[float], float]]]:
-    vals = np.sort(
-        np.concatenate([eigensystem(x).eigenvalues, eigensystem(y).eigenvalues])
-    )
+    vals = np.sort(np.concatenate([ex.eigenvalues, ey.eigenvalues]))
     lo, hi = float(vals[0]), float(vals[-1])
     mid = 0.5 * (lo + hi)
     fns: list[tuple[str, Callable[[float], float]]] = [("identity", lambda s: s)]
@@ -254,15 +253,19 @@ def monotone_probe(
     (hinges swept over the merged spectrum, odd powers of the centered
     argument, seeded piecewise-linear maps) and checks f(x) <= f(y) in the
     Loewner order for each. A violation soundly refutes x preceding y;
-    "consistent" proves nothing, since the family is finite.
+    "consistent" proves nothing, since the family is finite. Each operand
+    is eigendecomposed once, here, and every f is applied to that
+    decomposition; nothing is shared with :func:`spectral_leq`, so the
+    probe stays an independent check of it.
     """
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
     if probes < 1:
         raise InvalidParameterError(f"probe count must be at least 1, got {probes}")
-    fns = _probe_functions(x, y, probes, seed)
+    ex, ey = eigensystem(x), eigensystem(y)
+    fns = _probe_functions(ex, ey, probes, seed)
     for name, f in fns:
-        if not loewner_leq(functional_calculus(x, f), functional_calculus(y, f), tol):
+        if not loewner_leq(_apply_to_system(ex, f), _apply_to_system(ey, f), tol):
             return ProbeVerdict(refuted=True, witness=name, probes_run=len(fns))
     return ProbeVerdict(refuted=False, probes_run=len(fns))
 
@@ -280,12 +283,13 @@ def power_order_probe(
     """
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
-    for name, m in (("x", x), ("y", y)):
-        if float(eigensystem(m).eigenvalues[0]) < -loewner_slack(m, m, tol):
+    ex, ey = eigensystem(x), eigensystem(y)
+    for name, m, es in (("x", x, ex), ("y", y, ey)):
+        if float(es.eigenvalues[0]) < -loewner_slack(m, m, tol):
             raise NotPositiveError(f"{name} is not positive semidefinite")
     for n in range(1, max_power + 1):
-        xn = functional_calculus(x, lambda s, n=n: max(s, 0.0) ** n)
-        yn = functional_calculus(y, lambda s, n=n: max(s, 0.0) ** n)
+        xn = _apply_to_system(ex, lambda s, n=n: max(s, 0.0) ** n)
+        yn = _apply_to_system(ey, lambda s, n=n: max(s, 0.0) ** n)
         if not loewner_leq(xn, yn, tol):
             return ProbeVerdict(refuted=True, witness=f"power n={n}", probes_run=n)
     return ProbeVerdict(refuted=False, probes_run=max_power)

@@ -16,12 +16,18 @@ lie in [0, k], and the meet is the eigenspace within the slack of k, as in
 :func:`spectralorder.projections.proj_meet`. The families increase, so the
 meet found so far lies in every later value and is an invariant subspace of
 every later S: the next meet is the eigenspace of the compression of S onto
-the complement (exact deflation). One pass carries one unitary basis whose
-leading columns span the meet so far; the block of S coupling the meet to
-the complement is the monotonicity check. The cost is one
-eigendecomposition per input and one per grid point, on shrinking
-compressions, and an SVD only when a coupling block's Frobenius norm
-exceeds the threshold. No dense projection is formed.
+the complement (exact deflation). The values are nested prefixes, so S
+rises in the Loewner order along the grid and so does the meet: a bisection
+on the top eigenvalue of S finds the last grid point with a zero meet, which
+vouches for every earlier one. From the next point on, one pass keeps S as
+a running sum (adding c c* for each column an input gains) and carries one
+unitary basis whose leading columns span the meet so far; the block of S
+coupling the meet to the complement is the monotonicity check, and the pass
+ends once the meet is the identity. The cost is one eigendecomposition per
+input, about log2 of the grid size top-eigenvalue computations, and one
+eigendecomposition per grid point from the first jump of the meet until it
+is full, on shrinking compressions, plus an SVD only when a coupling block's
+Frobenius norm exceeds the threshold. No dense projection is formed.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
+    _eigvalsh,
     eigensystem,
     identity,
     operator_norm,
@@ -80,9 +87,11 @@ def lattice_family(
     tol: Tolerances = DEFAULT_TOL,
 ) -> SpectralFamily:
     """Spectral family of the supremum (``"sup"``) or infimum (``"inf"``)
-    of a finite set: the pointwise meet of the input families, built in one
-    deflated pass on one basis, or for the infimum the reflected family of
-    -sup(-x).
+    of a finite set: the pointwise meet of the input families, or for the
+    infimum the reflected family of -sup(-x). A bisection skips the grid
+    points before the meet's first jump, and one deflated pass on one basis
+    builds the rest, one eigendecomposition per grid point until the meet
+    is the identity.
 
     Raises
     ------
@@ -92,7 +101,8 @@ def lattice_family(
         If an input's eigenvectors are not orthonormal within cluster_tol,
         the meet found so far is not invariant under a later sum within
         tolerance, or the meets do not end at the identity (under
-        ``__debug__``, also if they are not constant between grid points).
+        ``__debug__``, also if they are not constant between grid points,
+        checked wherever nesting does not already force the value).
         That signals a tolerance misconfiguration and is never repaired by
         re-sorting.
     """
@@ -139,34 +149,63 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
         changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
         midpoints = {i: mid_ranks[i] for i in np.flatnonzero(wide & changed)}
 
+    def added(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Sum of c c* over the columns the inputs gain from ranks lo to hi."""
+        cols = np.concatenate([f.vectors[:, a:b] for f, a, b in zip(families, lo, hi)], axis=1)
+        return cols @ cols.conj().T
+
+    # The input values are nested prefixes, so the sum S rises in the
+    # Loewner order along the grid. Bisect on its top eigenvalue for the
+    # last point with a zero meet (the bracket): every earlier point has a
+    # zero meet too, and the pass starts after it with S kept running. The
+    # last point is left out of the search; the pass evaluates it anyway.
+    at = np.zeros(len(families), dtype=int)
+    s = np.zeros((dim, dim), dtype=np.complex128)
+    bracket, jump = -1, len(grid) - 1
+    while jump - bracket > 1:
+        mid = (bracket + jump) // 2
+        s_mid = s + added(at, grid_ranks[mid])
+        if _eigvalsh(s_mid)[-1] > cut:
+            jump = mid
+        else:
+            bracket, at, s = mid, grid_ranks[mid], s_mid
+
     # The first ``rank`` columns of q span the meet found so far.
     q = np.eye(dim, dtype=np.complex128)
     rank = 0
 
-    def deflate(at: np.ndarray) -> tuple[np.ndarray, int]:
-        """Eigenvectors of the sum at input ranks ``at`` compressed onto the
-        complement of the meet, largest first, and how many extend it."""
-        cols = np.concatenate([f.vectors[:, :r] for f, r in zip(families, at)], axis=1)
-        g = q.conj().T @ cols
-        coupling = _screened_norm(g[rank:] @ g[:rank].conj().T, thr)
+    def deflate(total: np.ndarray) -> tuple[np.ndarray, int]:
+        """Eigenvectors of ``total`` compressed onto the complement of the
+        meet, largest first, and how many extend it."""
+        p = q.conj().T @ (total @ q[:, rank:])
+        coupling = _screened_norm(p[:rank], thr)
         if coupling > thr:
             raise InternalLatticeError(
                 f"lattice family lost monotonicity (defect {coupling:.3e}); "
                 "check cluster_tol/psd_tol against the input spectra"
             )
-        w, v = _eigh(g[rank:] @ g[rank:].conj().T)
+        w, v = _eigh(p[rank:])
         return v[:, ::-1], int(np.count_nonzero(w > cut))
 
+    def check_midpoint(i: int) -> None:
+        if i in midpoints and deflate(s + added(at, midpoints[i]))[1]:
+            raise InternalLatticeError("lattice family is not constant between merged breakpoints")
+
+    # Midpoints before the bracket nest under its zero meet; its own is not.
+    check_midpoint(bracket)
     breakpoints, ranks = [], []
-    for i, (lam, r) in enumerate(zip(grid, grid_ranks)):
-        v, new = deflate(r)
+    for i in range(bracket + 1, len(grid)):
+        s += added(at, grid_ranks[i])
+        at = grid_ranks[i]
+        v, new = deflate(s)
         if new:
             q[:, rank:] = q[:, rank:] @ v
             rank += new
-            breakpoints.append(float(lam))
+            breakpoints.append(float(grid[i]))
             ranks.append(rank)
-        if i in midpoints and deflate(midpoints[i])[1]:
-            raise InternalLatticeError("lattice family is not constant between merged breakpoints")
+            if rank == dim:
+                break
+        check_midpoint(i)
     if rank != dim:
         raise InternalLatticeError("lattice family does not terminate at the identity")
     return SpectralFamily(np.asarray(breakpoints), q, np.asarray(ranks))

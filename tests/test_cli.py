@@ -66,6 +66,34 @@ class TestCompare:
     def test_wrong_name_count_exit_two(self, fixture_path, capsys):
         assert main(["compare", "--input", fixture_path, "--names", "a,b,x"]) == 2
 
+    def test_decomposes_each_operand_once_per_route(self, tmp_path, capsys, monkeypatch):
+        # x precedes sup(x, r), so the probe runs all 24 functions.
+        x, r = so.gen_instances(so.InstanceSpec(dim=8, seed=3, kind="generic", count=2))
+        y = so.spectral_sup([x, r])
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(matrices_to_document([("x", x), ("y", y)])))
+        x, y = load_document(str(path), so.DEFAULT_TOL).values()
+        verdict = so.spectral_leq(x, y)
+        borderline = so.borderline_gap(x, y)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, rep = run(capsys, "compare", "--input", str(path), "--names", "x,y")
+        assert code == 0
+        assert rep["monotone_probe"] == {"status": "consistent", "probes_run": 24}
+        # One per operand in the verdict and one per operand in the
+        # monotone probe; the borderline flag needs eigenvalues only.
+        assert len(calls) == 4
+        assert rep["spectral_leq"]["holds"] is verdict.holds
+        assert rep["spectral_leq"].get("witness_lambda") == verdict.witness_lambda
+        assert rep["spectral_leq"].get("defect") == verdict.defect
+        assert rep["borderline_clustering"] is borderline
+
 
 class TestLattice:
     def test_sup_document(self, fixture_path, tmp_path, capsys):

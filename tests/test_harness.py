@@ -97,6 +97,23 @@ class TestMonotoneProbe:
         m = gen(2)[0]
         assert so.monotone_probe(m, m).status == "consistent"
 
+    def test_decomposes_each_operand_once(self, monkeypatch):
+        x, y = gen(4, dim=8, count=2)
+        p, q = gen(4, dim=8, kind="positive", count=2)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert so.monotone_probe(x, y, probes=24).probes_run == 24
+        assert len(calls) == 2
+        calls.clear()
+        so.power_order_probe(p, q, max_power=4)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("probes", [0, -20])
     def test_rejects_non_positive_probe_count(self, probes):
         m = gen(2)[0]

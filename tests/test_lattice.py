@@ -144,7 +144,7 @@ class TestLatticeFamily:
     @pytest.mark.parametrize("mode", ["sup", "inf"])
     def test_matches_pointwise_dense_definition(self, kind, mode):
         op = so.spectral_sup if mode == "sup" else so.spectral_inf
-        for dim in (6, 12):
+        for dim in (6, 12, 32) if kind in ("generic", "positive") else (6, 12):
             for count in (2, 3):
                 mats = gen(11, dim=dim, kind=kind, count=count)
                 ref = dense_lattice(mats, mode)
@@ -192,6 +192,71 @@ class TestLatticeFamily:
             lattice.lattice_family(gen(2, dim=8, count=2), "sup", so.Tolerances(cluster_tol=1e-18))
 
 
+def counting(monkeypatch, *names):
+    """Record the argument shape of every call to the named numpy.linalg
+    functions, one list per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, _original=original, _calls=calls[name]):
+            _calls.append(a.shape)
+            return _original(a)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+class TestBisection:
+    """Edge cases of the bisection for the last zero meet (the bracket)."""
+
+    def test_scalar_set_is_a_one_point_grid(self, monkeypatch):
+        mats = [2.5 * so.identity(5)] * 2
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        sf = lattice.lattice_family(mats, "sup")
+        assert sf.breakpoints.tolist() == [2.5] and sf.ranks.tolist() == [5]
+        # No point to bisect: the inputs and the one grid point.
+        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (3, 0)
+
+    def test_first_jump_at_the_first_grid_point(self, monkeypatch):
+        x = gen(4, dim=6)[0]
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        sf = lattice.lattice_family([x, x], "sup")
+        assert sf.ranks.tolist() == [1, 2, 3, 4, 5, 6]
+        assert np.linalg.norm(so.reconstruct(sf).entries - x.entries, 2) <= 1e-12
+        # Every grid point has a jump, and the bisection finds no bracket.
+        assert len(calls["eigh"]) == 2 + 6
+        assert len(calls["eigvalsh"]) <= int(np.ceil(np.log2(6)))
+
+    def test_first_jump_at_the_last_grid_point(self, monkeypatch):
+        # The join of the two projections is the identity, so the meet is
+        # zero at grid point 0 (the bracket) and only grid point 1 is
+        # decomposed.
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        sf = lattice.lattice_family([P_E1, P_DIAG], "sup")
+        assert sf.breakpoints.tolist() == [1.0] and sf.ranks.tolist() == [2]
+        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (2 + 1, 1)
+
+    def test_bracket_midpoint_is_checked(self):
+        # Input i has eigenvalue 0.9e-3 * i on e1, -4e-3 * (i + 1) on a unit
+        # vector v_i of the (e2, e3) plane (v_0..v_3 at 45 degree steps, so
+        # no two share a line) and 1 on the rest. At cluster_tol 1e-3 the
+        # grid is -16e-3, -12e-3, -8e-3, -4e-3, the chained cluster at
+        # 1.35e-3 and 1; every gap but the last is below ten cluster
+        # widths. The meet is zero up to the cluster (the bracket), and at
+        # the next midpoint all four inputs contain e1.
+        mats = []
+        for i in range(4):
+            t = i * np.pi / 4
+            basis = np.array(
+                [[1, 0, 0], [0, np.cos(t), -np.sin(t)], [0, np.sin(t), np.cos(t)]]
+            )
+            vals = [0.9e-3 * i, -4e-3 * (i + 1), 1.0]
+            mats.append(so.make_hermitian(basis @ np.diag(vals) @ basis.T))
+        with pytest.raises(errors.InternalLatticeError, match="not constant"):
+            lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
+
+
 class TestCostModel:
     """Call counts of the compact lattice route; nothing here is timed."""
 
@@ -206,23 +271,28 @@ class TestCostModel:
         def ranks(lam, slack):
             return [so.evaluate_at(f, lam + slack).rank for f in families]
 
+        # The meet ranks by the dense definition: the pass evaluates the
+        # points from the first nonzero meet up to the first full one.
+        meet_ranks = [
+            so.proj_meet([so.evaluate_at(f, lam + tol.cluster_tol) for f in families], tol).rank
+            for lam in grid
+        ]
+        first = next(i for i, r in enumerate(meet_ranks) if r > 0)
+        last = meet_ranks.index(16)
+        assert 0 < first < last
         # Midpoints of wide gaps where some input changes rank are the only
-        # ones the step-constancy check recomputes.
+        # ones the step-constancy check recomputes; before the first jump
+        # (the bracket's own excepted) and from the full meet on, nesting
+        # forces their value.
         recomputed = sum(
             ranks(0.5 * (a + b), 0.0) != ranks(a, tol.cluster_tol)
-            for a, b in zip(grid, grid[1:])
+            for a, b in zip(grid[first - 1 : last], grid[first : last + 1])
             if b - a >= 10.0 * tol.cluster_tol
         )
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a):
-            calls.append(a.shape)
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
         so.spectral_sup(mats)
-        assert len(calls) == len(mats) + len(grid) + recomputed
+        assert len(calls["eigh"]) == len(mats) + (last - first + 1) + recomputed
+        assert len(calls["eigvalsh"]) <= int(np.ceil(np.log2(len(grid)))) + 1
 
     def test_lattice_family_never_revalidates_projections(self, monkeypatch):
         calls = []
