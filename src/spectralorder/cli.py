@@ -47,7 +47,7 @@ from .harness import (
     run_suite,
 )
 from .lattice import lattice_family, spectral_inf, spectral_sup
-from .limits import orthogonal_sup, power_inf_iterates, power_sup_iterates, run_schedule
+from .limits import _run_schedule, orthogonal_sup, power_inf_iterates, power_sup_iterates
 
 EXIT_OK = 0
 
@@ -220,8 +220,10 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _trace_entries(trace: list[tuple[int, float]]) -> list[dict]:
-    return [{"n": n, "residual": r} for n, r in trace]
+def _trace_entries(trace: list[tuple[int, float]], ext_trace: list[float | None]) -> list[dict]:
+    return [
+        {"n": n, "residual": r, "extrapolant_residual": e} for (n, r), e in zip(trace, ext_trace)
+    ]
 
 
 def cmd_limits(args) -> int:
@@ -231,6 +233,7 @@ def cmd_limits(args) -> int:
     mats = _pick(named, names)
     start = time.perf_counter()
     trace: list[tuple[int, float]] = []
+    ext_trace: list[float | None] = []
     if args.formula == "orthosum":
         result = orthogonal_sup(mats)
         reference = spectral_sup(mats, tol)
@@ -250,7 +253,7 @@ def cmd_limits(args) -> int:
             iterates = power_inf_iterates(mats, 0.0, True, tol)
             what, lattice_op = "power-mean infimum", spectral_inf
         try:
-            result, trace = run_schedule(iterates, what)
+            result, trace, ext_trace = _run_schedule(iterates, what)
         except errors.NoConvergenceError as exc:
             return _no_convergence_report(args, exc, start)
         reference = lattice_op(mats, tol)
@@ -259,7 +262,7 @@ def cmd_limits(args) -> int:
         "command": "limits",
         "formula": args.formula,
         "names": names,
-        "residual_trace": _trace_entries(trace),
+        "residual_trace": _trace_entries(trace, ext_trace),
         "limit_route": _matrix_to_doc_entry("limit", result),
         "lattice_route": _matrix_to_doc_entry("lattice", reference),
         "route_deviation": deviation,
@@ -277,7 +280,7 @@ def _no_convergence_report(args, exc: errors.NoConvergenceError, start: float) -
             "type": "NoConvergence",
             "message": str(exc),
             "residual": exc.residual,
-            "residual_trace": _trace_entries(exc.trace),
+            "residual_trace": _trace_entries(exc.trace, exc.extrapolant_trace),
         },
         "timing": {"wall_time_s": time.perf_counter() - start},
     }

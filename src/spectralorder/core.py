@@ -260,7 +260,12 @@ def operator_norm(h: HermitianMatrix) -> float:
 
 def loewner_slack(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances) -> float:
     """Scale-aware PSD slack used by :func:`loewner_leq`."""
-    return tol.psd_tol * (1.0 + operator_norm(x) + operator_norm(y))
+    return _psd_slack(operator_norm(x), operator_norm(y), tol)
+
+
+def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances) -> float:
+    """:func:`loewner_slack` from operator norms the caller already holds."""
+    return tol.psd_tol * (1.0 + norm_x + norm_y)
 
 
 def loewner_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -279,14 +284,17 @@ def functional_calculus(h: HermitianMatrix, f: Callable[[float], float]) -> Herm
     ``f`` is called once per eigenvalue (no vectorization requirement); the
     result is U diag(f(lambda_i)) U*, exact on the spectrum.
     """
-    return _apply_to_system(eigensystem(h), f)
+    return _apply_to_system(eigensystem(h), f)[0]
 
 
-def _apply_to_system(es: EigenSystem, f: Callable[[float], float]) -> HermitianMatrix:
-    """:func:`functional_calculus` on an eigendecomposition already computed."""
+def _apply_to_system(
+    es: EigenSystem, f: Callable[[float], float]
+) -> tuple[HermitianMatrix, float]:
+    """:func:`functional_calculus` on an eigendecomposition already computed,
+    with the result's operator norm max|f(lambda_i)| read off its spectrum."""
     vals = np.array([float(f(float(v))) for v in es.eigenvalues])
     u = es.eigenvectors
-    return HermitianMatrix((u * vals) @ u.conj().T)
+    return HermitianMatrix((u * vals) @ u.conj().T), float(np.max(np.abs(vals)))
 
 
 def positive_part(h: HermitianMatrix) -> HermitianMatrix:

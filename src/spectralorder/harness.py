@@ -23,11 +23,11 @@ from .core import (
     _apply_to_system,
     _eigh,
     _eigvalsh,
+    _psd_slack,
     _svd,
     eigensystem,
     identity,
     loewner_leq,
-    loewner_slack,
     operator_norm,
 )
 from .errors import (
@@ -255,8 +255,8 @@ def monotone_probe(
     Loewner order for each. A violation soundly refutes x preceding y;
     "consistent" proves nothing, since the family is finite. Each operand
     is eigendecomposed once, here, and every f is applied to that
-    decomposition; nothing is shared with :func:`spectral_leq`, so the
-    probe stays an independent check of it.
+    decomposition at one eigvalsh per f; nothing is shared with
+    :func:`spectral_leq`, so the probe stays an independent check of it.
     """
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
@@ -265,9 +265,19 @@ def monotone_probe(
     ex, ey = eigensystem(x), eigensystem(y)
     fns = _probe_functions(ex, ey, probes, seed)
     for name, f in fns:
-        if not loewner_leq(_apply_to_system(ex, f), _apply_to_system(ey, f), tol):
+        if not _mapped_leq(ex, ey, f, tol):
             return ProbeVerdict(refuted=True, witness=name, probes_run=len(fns))
     return ProbeVerdict(refuted=False, probes_run=len(fns))
+
+
+def _mapped_leq(
+    ex: EigenSystem, ey: EigenSystem, f: Callable[[float], float], tol: Tolerances
+) -> bool:
+    """loewner_leq(f(x), f(y)) from decompositions of x and y, in one eigvalsh:
+    the norms in the slack are max|f(lambda)| over the spectra already held."""
+    fx, norm_fx = _apply_to_system(ex, f)
+    fy, norm_fy = _apply_to_system(ey, f)
+    return float(_eigvalsh(fy.entries - fx.entries)[0]) >= -_psd_slack(norm_fx, norm_fy, tol)
 
 
 def power_order_probe(
@@ -284,13 +294,12 @@ def power_order_probe(
     if x.dim != y.dim:
         raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
     ex, ey = eigensystem(x), eigensystem(y)
-    for name, m, es in (("x", x, ex), ("y", y, ey)):
-        if float(es.eigenvalues[0]) < -loewner_slack(m, m, tol):
+    for name, es in (("x", ex), ("y", ey)):
+        norm = float(np.max(np.abs(es.eigenvalues)))
+        if float(es.eigenvalues[0]) < -_psd_slack(norm, norm, tol):
             raise NotPositiveError(f"{name} is not positive semidefinite")
     for n in range(1, max_power + 1):
-        xn = _apply_to_system(ex, lambda s, n=n: max(s, 0.0) ** n)
-        yn = _apply_to_system(ey, lambda s, n=n: max(s, 0.0) ** n)
-        if not loewner_leq(xn, yn, tol):
+        if not _mapped_leq(ex, ey, lambda s, n=n: max(s, 0.0) ** n, tol):
             return ProbeVerdict(refuted=True, witness=f"power n={n}", probes_run=n)
     return ProbeVerdict(refuted=False, probes_run=max_power)
 

@@ -29,9 +29,17 @@ stay arrays throughout: the engine returns (root logs, columns) and an
 iterate is the one product (columns * values) columns^* plus the shift.
 
 The exponents run over n = 2**k for k = 0..``tol.max_power_doublings``; that
-cap is the only setting of the ladder. :func:`run_schedule` stops at the
-first n whose residual ||A_n - A_prev|| is below ``_STOP_TOL * (1 + ||A_n||)``
-with the fixed ``_STOP_TOL = 1e-9``.
+cap is the only setting of the ladder. The error of the iterate A_n is about
+c/n plus exponentially small terms (Kato, Linear Multilinear Algebra 8,
+1979), so the plain Cauchy residual ||A_n - A_{n/2}|| falls below 1e-9 only
+near n = 2**30. :func:`run_schedule` instead stops on the Richardson
+extrapolant E_n = 2 A_n - A_{n/2}, which cancels the c/n term: at the first
+n with ||E_n - E_{n/2}|| < ``_STOP_TOL * (u + ||E_n||)`` (fixed
+``_STOP_TOL = 1e-9``) it returns E_n, typically near n = 2**19. The unit
+u = min(1, 2**ceil(log2 ||A_1||)) keeps the rule relative below unit scale;
+the shift check and the default inverse shift use the same unit, taken from
+the inputs' largest |eigenvalue|. Extrapolation uses only the route's own
+iterates, so the route stays independent of the lattice route.
 
 Residuals with norm at or below the rounding floor are treated as exactly
 consumed (clamped); content reachable only through components of size
@@ -93,7 +101,7 @@ _KEEP_RATIO = 1e-8  # retained eigenvalues keep >= 8 relative digits
 _RESIDUAL_CLAMP = 1e-12  # residual norms at rounding scale count as consumed
 _FRO_MARGIN = 1.0 + 1e-9  # lifts a computed Frobenius norm above any
 #                           computed 2-norm of the same matrix
-_STOP_TOL = 1e-9  # Cauchy stopping rule: ||A_n - A_prev|| < _STOP_TOL (1 + ||A_n||)
+_STOP_TOL = 1e-9  # stopping rule: ||E_n - E_{n/2}|| < _STOP_TOL (u + ||E_n||)
 
 
 def _spectral_range(systems: Sequence[EigenSystem]) -> tuple[float, float]:
@@ -170,10 +178,20 @@ def _power_mean_roots(
         yield n, np.exp(root_logs + log_scale), cols
 
 
+def _unit(norm: float) -> float:
+    """min(1, 2**ceil(log2 norm)), or 1 for a zero norm.
+
+    It stands in for the "1 +" of the stopping rule and the shift check:
+    above unit scale nothing changes, and below it both stay relative to
+    the input scale. A power of two, so it adds no rounding of its own.
+    """
+    return min(1.0, 2.0 ** math.ceil(math.log2(norm))) if norm > 0.0 else 1.0
+
+
 def _check_shift(delta: float, norm: float) -> None:
     """Reject a shift whose rounding, eps * |delta| on every shifted eigenvalue,
     exceeds the stopping rule at the input scale: the limit would be wrong."""
-    if np.finfo(float).eps * abs(delta) > _STOP_TOL * (1.0 + norm):
+    if np.finfo(float).eps * abs(delta) > _STOP_TOL * (_unit(norm) + norm):
         raise DeltaTooLargeError(
             f"shift {delta} is too large: its rounding exceeds the stopping rule"
         )
@@ -182,32 +200,61 @@ def _check_shift(delta: float, norm: float) -> None:
 def run_schedule(
     iterates: Iterator[tuple[int, HermitianMatrix]], what: str
 ) -> tuple[HermitianMatrix, list[tuple[int, float]]]:
-    """Run iterates until the Cauchy stopping rule holds.
+    """Run iterates until the extrapolated stopping rule holds.
 
-    Returns the limit and the residual trace [(n, ||A_n - A_prev||), ...].
+    The error of A_n is about c/n plus exponentially small terms, and the
+    extrapolant E_n = 2 A_n - A_{n/2} cancels the c/n term. The run stops at
+    the first n with ||E_n - E_{n/2}|| < _STOP_TOL (u + ||E_n||), where
+    u = :func:`_unit` of ||A_1|| keeps the rule relative below unit scale.
+
+    Returns the limit E_n and the residual trace [(n, ||A_n - A_prev||),
+    ...] of the plain iterates.
 
     Raises
     ------
     NoConvergenceError
-        If the iterates run out first; the error carries the last iterate
-        and the residual trace.
+        If the iterates run out first; the error carries the last plain
+        iterate, the residual trace and, as ``extrapolant_trace``, the
+        extrapolant residuals of :func:`_run_schedule`.
     """
+    limit, trace, _ = _run_schedule(iterates, what)
+    return limit, trace
+
+
+def _run_schedule(
+    iterates: Iterator[tuple[int, HermitianMatrix]], what: str
+) -> tuple[HermitianMatrix, list[tuple[int, float]], list[float | None]]:
+    """:func:`run_schedule`, also returning ||E_n - E_{n/2}|| for each trace
+    entry (None at the first, where E_{n/2} does not exist yet)."""
     prev: HermitianMatrix | None = None
     current: HermitianMatrix | None = None
+    prev_ext: HermitianMatrix | None = None
+    unit = 1.0
     residual = math.inf
     trace: list[tuple[int, float]] = []
+    ext_trace: list[float | None] = []
     for n, current in iterates:
-        if prev is not None:
-            residual = operator_norm(current - prev)
+        if prev is None:
+            unit = _unit(operator_norm(current))
+        else:
+            step = current - prev
+            residual = operator_norm(step)
             trace.append((n, residual))
-            # ||A_n|| <= ||A_n||_F: a residual at or above the threshold
-            # taken with the Frobenius norm (widened past its roundoff)
-            # cannot stop the run, so the exact norm is skipped.
-            fro = _FRO_MARGIN * float(np.linalg.norm(current.entries))
-            if residual < _STOP_TOL * (1.0 + fro) and residual < _STOP_TOL * (
-                1.0 + operator_norm(current)
-            ):
-                return current, trace
+            ext = current + step
+            if prev_ext is None:
+                ext_trace.append(None)
+            else:
+                ext_residual = operator_norm(ext - prev_ext)
+                ext_trace.append(ext_residual)
+                # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
+                # taken with the Frobenius norm (widened past its roundoff)
+                # cannot stop the run, so the exact norm is skipped.
+                fro = _FRO_MARGIN * float(np.linalg.norm(ext.entries))
+                if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
+                    unit + operator_norm(ext)
+                ):
+                    return ext, trace, ext_trace
+            prev_ext = ext
         prev = current
     raise NoConvergenceError(
         f"{what} did not meet the stopping rule within the exponent schedule "
@@ -216,6 +263,7 @@ def run_schedule(
         last_iterate=current,
         residual=residual,
         trace=trace,
+        extrapolant_trace=ext_trace,
     )
 
 
@@ -268,7 +316,7 @@ def shifted_power_sup(
     DeltaTooLargeError
         If delta exceeds the floor, so some x - delta I is not PSD.
     NoConvergenceError
-        If the Cauchy stopping rule is not met by n = 2**max_power_doublings; the
+        If the stopping rule is not met by n = 2**max_power_doublings; the
         error carries the last iterate and residual trace.
     """
     limit, _ = run_schedule(power_sup_iterates(mats, delta, normalize, tol), "power-mean supremum")
@@ -286,7 +334,7 @@ def power_inf_iterates(
     systems = [eigensystem(m) for m in mats]
     floor, norm = _spectral_range(systems)
     if delta is None:
-        delta = max(0.0, 1.0 - floor)
+        delta = max(0.0, _unit(norm) - floor)
     for i, es in enumerate(systems):
         lam_min = float(es.eigenvalues[0]) + delta
         if lam_min < INVERTIBILITY_FLOOR:
@@ -314,9 +362,11 @@ def inverse_power_inf(
     """Infimum via the inverse power-mean limit.
 
     Requires every x + delta I to be positive invertible (lambda_min at
-    least the invertibility floor). The default shift max(0, 1 - floor)
-    pushes the binding element's smallest eigenvalue to one, minimizing the
-    dynamic range of the inverted family.
+    least the invertibility floor). The default shift max(0, u - floor),
+    with u = min(1, 2**ceil(log2 max|lambda|)), pushes the binding element's
+    smallest eigenvalue to the input scale, at most one, minimizing the
+    dynamic range of the inverted family without a shift so large that
+    cancellation wipes out the digits of a small answer.
     """
     limit, _ = run_schedule(power_inf_iterates(mats, delta, normalize, tol), "power-mean infimum")
     return limit

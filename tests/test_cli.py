@@ -165,6 +165,18 @@ class TestLimits:
         # commuting spectra converge monotonically
         assert all(b <= a * 1.001 + 1e-15 for a, b in zip(residuals, residuals[1:]))
 
+    def test_trace_reports_extrapolant_residuals(self, fixture_path, capsys):
+        argv = ["limits", "--input", fixture_path, "--names", "a,p", "--formula", "kato"]
+        code, rep = run(capsys, *argv)
+        assert code == 0
+        ext = [t["extrapolant_residual"] for t in rep["residual_trace"]]
+        assert ext[0] is None and all(isinstance(e, float) for e in ext[1:])
+        # the run stops on the extrapolated rule, at the last entry
+        assert ext[-1] < 1e-9 * (1.0 + np.linalg.norm(rep["limit_route"]["re"], 2))
+        _, again = run(capsys, *argv)
+        rep.pop("timing"), again.pop("timing")
+        assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
+
     def test_orthosum_exact(self, tmp_path, capsys):
         doc = {
             "format_version": "1",
@@ -204,6 +216,19 @@ class TestLimits:
         assert code == 4
         assert rep["error"]["type"] == "NoConvergence"
         assert [t["n"] for t in rep["error"]["residual_trace"]] == [2, 4, 8]
+
+    def test_no_convergence_reports_extrapolant_residuals(self, tmp_path, capsys):
+        mats = so.gen_instances(so.InstanceSpec(dim=4, seed=3, kind="positive", count=2))
+        path = tmp_path / "pos.json"
+        path.write_text(json.dumps(matrices_to_document([("m0", mats[0]), ("m1", mats[1])])))
+        argv = ["limits", "--input", str(path), "--formula", "kato", "--max-doublings", "3"]
+        code, rep = run(capsys, *argv)
+        assert code == 4
+        ext = [t["extrapolant_residual"] for t in rep["error"]["residual_trace"]]
+        assert ext[0] is None and all(e > 0.0 for e in ext[1:])
+        _, again = run(capsys, *argv)
+        rep.pop("timing"), again.pop("timing")
+        assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
 
     def test_harmonic_pair(self, fixture_path, capsys):
         code, rep = run(

@@ -114,6 +114,24 @@ class TestMonotoneProbe:
         so.power_order_probe(p, q, max_power=4)
         assert len(calls) == 2
 
+    def test_one_eigvalsh_per_probe(self, monkeypatch):
+        x, r = gen(4, dim=8, count=2)
+        u = so.spectral_sup([x, r])
+        p = gen(4, dim=8, kind="positive")[0]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        verdict = so.monotone_probe(x, u, probes=24)
+        assert not verdict.refuted and len(calls) == verdict.probes_run == 24
+        calls.clear()
+        assert not so.power_order_probe(p, p + so.identity(8), max_power=4).refuted
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("probes", [0, -20])
     def test_rejects_non_positive_probe_count(self, probes):
         m = gen(2)[0]

@@ -79,6 +79,81 @@ class TestGradedRootEngine:
         assert logs.shape == (2,) and cols.shape == (4, 2)
 
 
+class TestExtrapolatedStop:
+    @pytest.mark.parametrize("c", [0.7, 3.0])
+    def test_scalar_closed_form(self, c):
+        # x = y = c I with zero shift: A_n = c 2^(1/n), error c ln2 / n + O(1/n^2)
+        x = c * so.identity(3)
+        limit, trace = limits.run_schedule(so.power_sup_iterates([x, x], delta=0.0), "sup")
+        assert so.operator_norm(limit - x) <= 1e-9 * c
+        plain_stop = next(
+            n
+            for n in (2**k for k in range(1, 49))
+            if c * (2.0 ** (1.0 / n) * (2.0 ** (1.0 / n) - 1.0))
+            < limits._STOP_TOL * (1.0 + c * 2.0 ** (1.0 / n))
+        )
+        assert trace[-1][0] < plain_stop
+
+    def test_pinned_stop_exponent(self):
+        mats = gen(1, dim=8, count=3)
+        limit, trace = limits.run_schedule(so.power_sup_iterates(mats, delta=0.0), "sup")
+        assert trace[-1][0] <= 2**20
+        assert so.operator_norm(limit - so.spectral_sup(mats)) < 1e-6
+
+    def test_singleton_returns_its_input(self):
+        m = gen(3, kind="generic")[0]
+        limit, trace = limits.run_schedule(so.power_sup_iterates([m]), "sup")
+        assert [n for n, _ in trace] == [2, 4]
+        assert so.operator_norm(limit - m) < 1e-11 * (1.0 + so.operator_norm(m))
+
+    def test_no_convergence_carries_extrapolant_residuals(self):
+        with pytest.raises(errors.NoConvergenceError) as exc:
+            so.shifted_power_sup(gen(3, count=2), tol=so.Tolerances(max_power_doublings=3))
+        ext = exc.value.extrapolant_trace
+        assert ext[0] is None and len(ext) == len(exc.value.trace) == 3
+        assert all(e > 0.0 for e in ext[1:])
+
+
+SCALES = [10.0**e for e in range(-12, 13, 3)]
+
+
+class TestScaleSweep:
+    """a * mats for a from 1e-12 to 1e12: the limit is a * (the unit-scale
+    lattice answer) within 1e-6 relative, or a typed error."""
+
+    MATS = gen(1, dim=6, kind="positive_definite", count=3)
+
+    @pytest.mark.parametrize("a", SCALES)
+    @pytest.mark.parametrize("shift", ["floor", "zero"])
+    def test_shifted_sup(self, a, shift):
+        scaled = [a * m for m in self.MATS]
+        out = so.shifted_power_sup(scaled, delta=None if shift == "floor" else 0.0)
+        want = a * so.spectral_sup(self.MATS)
+        assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
+
+    @pytest.mark.parametrize("a", SCALES)
+    def test_inverse_inf_default_shift(self, a):
+        scaled = [a * m for m in self.MATS]
+        try:
+            out = so.inverse_power_inf(scaled)
+        except errors.NotInvertibleError:
+            # only where the whole set sits below the absolute floor
+            assert max(so.operator_norm(m) for m in scaled) < limits.INVERTIBILITY_FLOOR
+            return
+        want = a * so.spectral_inf(self.MATS)
+        assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
+
+    @pytest.mark.parametrize("a", SCALES)
+    def test_rejects_shift_that_rounds_the_spectrum_away(self, a):
+        # the unit-scale rejections of the shifted and inverse tests, scaled:
+        # the check is relative too
+        scaled = [a * m for m in self.MATS]
+        with pytest.raises(errors.DeltaTooLargeError):
+            so.shifted_power_sup(scaled, delta=so.delta_floor(scaled) - a * 1e17)
+        with pytest.raises(errors.DeltaTooLargeError):
+            so.inverse_power_inf(scaled, delta=a * 1e17)
+
+
 class TestShiftedPowerSup:
     def test_equal_scalars_need_no_factor(self):
         # The default shift is the common eigenvalue, so every shifted
