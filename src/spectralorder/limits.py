@@ -23,10 +23,23 @@ weighted rank-one factors with logarithmic weights and peels the spectrum
 off one scale window at a time: the top window is assembled and
 eigendecomposed at unit scale, its trustworthy eigenpairs are emitted, and
 every factor's residual against the remaining orthogonal complement is
-re-normalized and carried into the next window. Each pass resolves at least
-one dimension, so at most d windows are needed regardless of n. Eigenpairs
-stay arrays throughout: the engine returns (root logs, columns) and an
-iterate is the one product (columns * values) columns^* plus the shift.
+carried into the next window. Each pass resolves at least one dimension, so
+at most d windows are needed regardless of n.
+
+The order of the weights n log(lambda) does not depend on n, so
+:func:`_power_mean_roots` sorts the factors by weight once and takes one QR
+of the sorted factor matrix per limit, the graded-matrix technique of
+Demmel and Veselic (SIAM J. Matrix Anal. Appl. 13, 1992). The engine runs
+on the upper-trapezoidal columns of R, and each iterate maps its columns
+back with one product by Q. A window's active factors then occupy only the
+rows down to their deepest nonzero one, so the window is an eigenproblem
+on those few leading rows of the complement (two rows at n = 2**20 on a
+d = 32 set), and only those rows of the coordinates and columns of the
+basis are rotated, in place. Residuals stay absolute: a factor's level is
+its log weight plus twice the log norm of its rows below the emitted ones.
+Eigenpairs stay arrays throughout: the engine returns (root logs, columns)
+and an iterate is the one product (columns * values) columns^* plus the
+shift.
 
 The exponents run over n = 2**k for k = 0..``tol.max_power_doublings``; that
 cap is the only setting of the ladder. The error of the iterate A_n is about
@@ -41,12 +54,18 @@ the shift check and the default inverse shift use the same unit, taken from
 the inputs' largest |eigenvalue|. Extrapolation uses only the route's own
 iterates, so the route stays independent of the lattice route.
 
-Residuals with norm at or below the rounding floor are treated as exactly
-consumed (clamped); content reachable only through components of size
-~1e-12 of a dominant factor is therefore invisible. Generic spectra keep
-angles of order one and structured inputs (commuting, orthogonal,
-projections) have exactly zero components there, so the blind spot is only
-reachable by adversarial near-degenerate construction.
+A carried residual is only as accurate as the windows that rotated it.
+Each factor therefore carries an absolute direction error. It starts at
+``_RESIDUAL_CLAMP`` times the factor's norm, and every window adds
+b eps (g_max / smallest kept g) times the factor's current residual norm,
+the Davis-Kahan bound on the window's b x b eigenvectors (Davis and Kahan,
+SIAM J. Numer. Anal. 7, 1970). A factor survives only while its residual
+norm exceeds its error. So a rounding residual is never carried at a level
+that outranks true content, and no iterate gains a spurious eigenvalue.
+Content reachable only through components below that error is invisible;
+generic spectra keep angles of order one and structured inputs (commuting,
+orthogonal, projections) have exactly zero components there, so only an
+adversarial near-degenerate construction reaches it.
 """
 
 from __future__ import annotations
@@ -63,6 +82,7 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
+    _eigvalsh,
     _svd,
     eigensystem,
     negative_part,
@@ -98,7 +118,7 @@ INVERTIBILITY_FLOOR = 1e-6
 _ACTIVE_WINDOW = 37.0  # ~16 decades: factors further below the window top
 #                        are invisible to a double-precision sum anyway
 _KEEP_RATIO = 1e-8  # retained eigenvalues keep >= 8 relative digits
-_RESIDUAL_CLAMP = 1e-12  # residual norms at rounding scale count as consumed
+_RESIDUAL_CLAMP = 1e-12  # starting direction error, relative to the factor norm
 _FRO_MARGIN = 1.0 + 1e-9  # lifts a computed Frobenius norm above any
 #                           computed 2-norm of the same matrix
 _STOP_TOL = 1e-9  # stopping rule: ||E_n - E_{n/2}|| < _STOP_TOL (u + ||E_n||)
@@ -122,37 +142,49 @@ def _graded_root_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of (sum_j e^{w_j} v_j v_j^*)^{inv_exponent}.
 
-    ``vectors`` holds unit columns; returns (root eigenvalue logs, orthonormal
-    eigenvector columns) spanning the numerically visible support. Directions
-    never covered correspond to exact zeros of the sum.
+    Returns (root eigenvalue logs, orthonormal eigenvector columns) spanning
+    the numerically visible support. Directions never covered correspond to
+    exact zeros of the sum. A window only touches the rows down to its
+    factors' last nonzero one, so upper-trapezoidal ``vectors`` (the R of a
+    weight-ordered QR) give windows of a few rows; dense ones behave as if
+    every window spanned the whole remaining complement.
     """
-    dim = vectors.shape[0]
-    logs = [np.zeros(0)]
-    cols = [np.zeros((dim, 0), dtype=np.complex128)]
-    basis = np.eye(dim, dtype=np.complex128)
+    v = np.array(vectors, dtype=np.complex128)
     w = np.asarray(log_weights, dtype=float)
-    v = np.asarray(vectors, dtype=np.complex128)
-    while w.size and basis.shape[1]:
-        top = float(w.max())
-        active = w >= top - _ACTIVE_WINDOW
-        va = v[:, active]
+    dim = v.shape[0]
+    # each factor's last nonzero row: a window spans the rows from ``start``
+    # down to the deepest one among its active factors
+    rows = np.arange(dim)[:, None]
+    depth = np.max(np.where(v != 0.0, rows, 0), axis=0, initial=0)
+    norms = np.linalg.norm(v, axis=0)
+    err = _RESIDUAL_CLAMP * norms
+    basis = np.eye(dim, dtype=np.complex128)
+    logs = np.empty(dim)
+    eps = np.finfo(float).eps
+    start = 0
+    while True:
+        alive = norms > err
+        if not alive.all():
+            w, v, norms, err, depth = w[alive], v[:, alive], norms[alive], err[alive], depth[alive]
+        if not w.size or start == dim:
+            return logs[:start], basis[:, :start]
+        level = w + 2.0 * np.log(norms)
+        top = float(level.max())
+        active = level >= top - _ACTIVE_WINDOW
+        stop = int(depth[active].max()) + 1
+        va = v[start:stop, active]
         s = (va * np.exp(w[active] - top)) @ va.conj().T
-        s = (s + s.conj().T) / 2.0
-        g, u = _eigh(s)
-        g_max = float(g[-1])
-        if g_max <= 0.0:
-            break
-        keep = g >= _KEEP_RATIO * g_max
-        logs.append((np.log(g[keep]) + top) * inv_exponent)
-        cols.append(basis @ u[:, keep])
-        u_comp = u[:, ~keep]
-        residuals = u_comp.conj().T @ v
-        norms = np.linalg.norm(residuals, axis=0)
-        alive = norms > _RESIDUAL_CLAMP
-        w = w[alive] + 2.0 * np.log(norms[alive])
-        v = residuals[:, alive] / norms[alive]
-        basis = basis @ u_comp
-    return np.concatenate(logs), np.concatenate(cols, axis=1)
+        g, u = _eigh((s + s.conj().T) / 2.0)
+        kept = int(np.count_nonzero(g >= _KEEP_RATIO * g[-1]))
+        u = u[:, ::-1]  # kept eigenvectors first: they become the emitted rows
+        logs[start : start + kept] = (np.log(g[::-1][:kept]) + top) * inv_exponent
+        v[start:stop] = u.conj().T @ v[start:stop]
+        basis[:, start:stop] = basis[:, start:stop] @ u
+        # Davis-Kahan error of the kept eigenvectors, carried by each residual
+        err += (stop - start) * eps * (g[-1] / g[-kept]) * norms
+        depth = np.maximum(depth, stop - 1)  # the rotation fills the window rows
+        start += kept
+        norms = np.linalg.norm(v[start:], axis=0)
 
 
 def _power_mean_roots(
@@ -168,14 +200,23 @@ def _power_mean_roots(
     w = np.concatenate([vals for vals, _ in eigs])
     u = np.concatenate([vecs for _, vecs in eigs], axis=1)
     pos = w > 0.0
-    w, u = w[pos], u[:, pos]
-    scale = float(w.max()) if w.size else 1.0
+    # The order of the weights n log(lambda) is the same at every n, so one
+    # QR of the weight-sorted factors serves the whole ladder.
+    order = np.argsort(-w[pos], kind="stable")
+    w = w[pos][order]
+    q, r = np.linalg.qr(u[:, pos][:, order])
+    scale = float(w[0]) if w.size else 1.0
     logs = np.log(w / scale)
     log_c = math.log(len(eigs)) if normalize else 0.0
     log_scale = inv_sign * math.log(scale)
     for n in (2**k for k in range(int(max_doublings) + 1)):
-        root_logs, cols = _graded_root_pairs(n * logs - log_c, u, inv_sign / n)
-        yield n, np.exp(root_logs + log_scale), cols
+        root_logs, cols = _graded_root_pairs(n * logs - log_c, r, inv_sign / n)
+        yield n, np.exp(root_logs + log_scale), q @ cols
+
+
+def _norm(a: np.ndarray) -> float:
+    """Operator norm of a Hermitian array: its largest |eigenvalue|."""
+    return float(np.max(np.abs(_eigvalsh(a))))
 
 
 def _unit(norm: float) -> float:
@@ -226,36 +267,37 @@ def _run_schedule(
 ) -> tuple[HermitianMatrix, list[tuple[int, float]], list[float | None]]:
     """:func:`run_schedule`, also returning ||E_n - E_{n/2}|| for each trace
     entry (None at the first, where E_{n/2} does not exist yet)."""
-    prev: HermitianMatrix | None = None
+    prev: np.ndarray | None = None
     current: HermitianMatrix | None = None
-    prev_ext: HermitianMatrix | None = None
+    prev_ext: np.ndarray | None = None
     unit = 1.0
     residual = math.inf
     trace: list[tuple[int, float]] = []
     ext_trace: list[float | None] = []
     for n, current in iterates:
+        entries = current.entries
         if prev is None:
-            unit = _unit(operator_norm(current))
+            unit = _unit(_norm(entries))
         else:
-            step = current - prev
-            residual = operator_norm(step)
+            step = entries - prev
+            residual = _norm(step)
             trace.append((n, residual))
-            ext = current + step
+            ext = entries + step
             if prev_ext is None:
                 ext_trace.append(None)
             else:
-                ext_residual = operator_norm(ext - prev_ext)
+                ext_residual = _norm(ext - prev_ext)
                 ext_trace.append(ext_residual)
                 # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
                 # taken with the Frobenius norm (widened past its roundoff)
                 # cannot stop the run, so the exact norm is skipped.
-                fro = _FRO_MARGIN * float(np.linalg.norm(ext.entries))
+                fro = _FRO_MARGIN * float(np.linalg.norm(ext))
                 if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
-                    unit + operator_norm(ext)
+                    unit + _norm(ext)
                 ):
-                    return ext, trace, ext_trace
+                    return HermitianMatrix(ext), trace, ext_trace
             prev_ext = ext
-        prev = current
+        prev = entries
     raise NoConvergenceError(
         f"{what} did not meet the stopping rule within the exponent schedule "
         f"(last residual {residual:.3e}); near-degenerate breakpoints of the "
@@ -282,7 +324,7 @@ def power_sup_iterates(
     dim = _check_set(mats)
     systems = [eigensystem(m) for m in mats]
     floor, norm = _spectral_range(systems)
-    slack = tol.psd_tol * (1.0 + norm)
+    slack = tol.psd_tol * (_unit(norm) + norm)
     if delta is None:
         delta = floor
     if delta > floor + slack:

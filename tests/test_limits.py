@@ -78,6 +78,71 @@ class TestGradedRootEngine:
         logs, cols = _graded_root_pairs(np.array([0.0, -1.0, -2.0]), vecs, 1.0)
         assert logs.shape == (2,) and cols.shape == (4, 2)
 
+    @pytest.mark.parametrize("dim,count", [(6, 10), (8, 3)])
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_weight_ordered_qr_gives_the_dense_eigenpairs(self, dim, count, n):
+        # the engine on (sorted weights, R) with columns mapped by Q, against
+        # the engine on the dense factors: the same root, F > d and F < d
+        rng = np.random.default_rng(11)
+        vecs = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+        vecs /= np.linalg.norm(vecs, axis=0)
+        log_w = n * np.log(rng.uniform(0.1, 1.0, count))
+        order = np.argsort(-log_w, kind="stable")
+        q, r = np.linalg.qr(vecs[:, order])
+        logs, cols = _graded_root_pairs(log_w[order], r, 1.0 / n)
+        dense_logs, dense_cols = _graded_root_pairs(log_w, vecs, 1.0 / n)
+        assert np.allclose(np.sort(logs), np.sort(dense_logs), rtol=0.0, atol=1e-12)
+        got = ((q @ cols) * np.exp(logs)) @ (q @ cols).conj().T
+        want = (dense_cols * np.exp(dense_logs)) @ dense_cols.conj().T
+        assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+    def test_projection_factors_below_full_rank_keep_their_rank(self):
+        # two rank-2 projections in d = 8: F = 4 < d, so Q is 8 x 4, and every
+        # iterate (P1^n + P2^n)^(1/n) = (P1 + P2)^(1/n) has rank 4
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((2, 8, 2)) + 1j * rng.standard_normal((2, 8, 2))
+        qs = [np.linalg.qr(a)[0] for a in raw]
+        eigs = [(np.ones(2), q) for q in qs]
+        for n, vals, cols in limits._power_mean_roots(eigs, 10, False, 1.0):
+            assert cols.shape == (8, 4) and vals.shape == (4,)
+            assert np.linalg.norm(cols.conj().T @ cols - np.eye(4)) < 1e-12
+        join = so.spectral_sup([so.HermitianMatrix(q @ q.conj().T) for q in qs])
+        assert so.operator_norm(so.HermitianMatrix(cols @ cols.conj().T) - join) < 1e-12
+
+
+class TestCostModel:
+    def test_one_qr_per_run(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted_qr(a):
+            calls.append(a.shape)
+            return qr(a)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        tol = so.Tolerances(max_power_doublings=12)
+        iterates = list(so.power_sup_iterates(gen(1, dim=8, count=3), tol=tol))
+        assert len(iterates) == 13 and len(calls) == 1
+
+    @pytest.mark.parametrize("delta", [0.0, None])
+    def test_windows_take_only_the_leading_rows(self, monkeypatch, delta):
+        # factors sorted by weight leave a few rows per window in R; dense
+        # factors would give a 32 x 32 window at every iterate
+        sizes = []
+        eigh = limits._eigh
+
+        def recorded_eigh(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(limits, "_eigh", recorded_eigh)
+        mats = gen(1, dim=32, count=3)
+        tol = so.Tolerances(max_power_doublings=20)
+        for n, _ in so.power_sup_iterates(mats, delta=delta, tol=tol):
+            if n < 2**20:
+                sizes.clear()
+        assert sizes and max(sizes) <= 4
+
 
 class TestExtrapolatedStop:
     @pytest.mark.parametrize("c", [0.7, 3.0])
@@ -143,6 +208,13 @@ class TestScaleSweep:
         want = a * so.spectral_inf(self.MATS)
         assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
 
+    def test_shift_slack_is_relative_below_unit_scale(self):
+        # 5e-10 above the floor is 500 times the set's scale: the shifted
+        # elements are far from PSD, not within rounding of it
+        scaled = [1e-12 * m for m in self.MATS]
+        with pytest.raises(errors.DeltaTooLargeError):
+            so.shifted_power_sup(scaled, delta=so.delta_floor(scaled) + 5e-10)
+
     @pytest.mark.parametrize("a", SCALES)
     def test_rejects_shift_that_rounds_the_spectrum_away(self, a):
         # the unit-scale rejections of the shifted and inverse tests, scaled:
@@ -152,6 +224,40 @@ class TestScaleSweep:
             so.shifted_power_sup(scaled, delta=so.delta_floor(scaled) - a * 1e17)
         with pytest.raises(errors.DeltaTooLargeError):
             so.inverse_power_inf(scaled, delta=a * 1e17)
+
+
+CENSUS_ROWS = {
+    "kato": ("positive", lambda m: so.power_sup_iterates(m, delta=0.0), so.spectral_sup),
+    "inverse": ("positive_definite", so.power_inf_iterates, so.spectral_inf),
+    "floor_shift": ("generic", so.power_sup_iterates, so.spectral_sup),
+    "commuting": ("commuting_family", so.power_sup_iterates, so.spectral_sup),
+    "projection": ("projection", so.power_sup_iterates, so.spectral_sup),
+}
+
+
+class TestIterateCensus:
+    """Every iterate A_n, n = 2**6..2**24, is within about c/n of the lattice
+    answer, c the constant of Kato's 1/n rate (4 to 9 on these sets): no
+    iterate carries a spurious eigenvalue that the stopping rule would have
+    to outlast."""
+
+    @pytest.mark.parametrize("row", sorted(CENSUS_ROWS))
+    def test_no_iterate_is_far_off(self, row):
+        kind, iterates, lattice_route = CENSUS_ROWS[row]
+        bad = []
+        for dim in (8, 16):
+            for count in (2, 3):
+                for seed in (1, 2):
+                    mats = gen(seed, dim=dim, kind=kind, count=count)
+                    ref = lattice_route(mats)
+                    scale = max(1.0, so.operator_norm(ref))
+                    for n, it in iterates(mats):
+                        if n > 2**24:
+                            break
+                        err = so.operator_norm(it - ref) / scale
+                        if n >= 2**6 and err * n > 100.0:
+                            bad.append((dim, count, seed, n, err))
+        assert not bad
 
 
 class TestShiftedPowerSup:
