@@ -337,7 +337,7 @@ def _default_seed() -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-cluster", type=float, default=1e-8, help="eigenvalue clustering width")
+    parser.add_argument("--tol-cluster", type=float, default=1e-8, help="relative eigenvalue clustering width")
     parser.add_argument("--tol-psd", type=float, default=1e-9, help="PSD slack base rate")
     parser.add_argument("--tol-conv", type=float, default=1e-8, help="iteration stopping threshold")
     parser.add_argument("--max-doublings", type=int, default=48, help="cap on exponent doublings")

@@ -9,6 +9,7 @@ safe for concurrent use without locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +35,6 @@ __all__ = [
     "make_hermitian",
     "eigensystem",
     "loewner_leq",
-    "loewner_slack",
     "functional_calculus",
     "positive_part",
     "negative_part",
@@ -49,13 +49,13 @@ class Tolerances:
     Attributes
     ----------
     cluster_tol : float
-        Width used to merge nearly equal eigenvalues before building or
-        comparing spectral families.
+        Relative width used to merge nearly equal eigenvalues before
+        building or comparing spectral families (:func:`_cluster_width`).
     psd_tol : float
         Base slack for positive-semidefiniteness tests. Order comparisons
-        scale it by (1 + ||x|| + ||y||) so the slack follows the operand
-        magnitudes; projection comparisons use 10 * psd_tol directly since
-        projections have unit scale.
+        scale it by (u + ||x|| + ||y||), u from :func:`_unit`, so the slack
+        follows the operands at every scale; projection comparisons use
+        10 * psd_tol directly since projections have unit scale.
     conv_tol : float
         Stopping threshold for fixed-point iterations (the alternating
         projection oracle).
@@ -100,10 +100,8 @@ class HermitianMatrix:
 
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise NonSquareError("dimension must be at least 1")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise NonSquareError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise NonFiniteError("matrix entries must be finite (got NaN or infinity)")
         # Halving first keeps entries near the float maximum finite; in the
@@ -157,7 +155,7 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     ----------
     raw : array_like
         Square complex array. The worst asymmetry max|a_ij - conj(a_ji)|
-        must not exceed ``tol.cluster_tol * max(1, max|a_ij|)``, so the
+        must not exceed ``tol.cluster_tol * _scale(max|a_ij|)``, so the
         tolerance follows the entry scale and roundoff is never rejected.
 
     Returns
@@ -168,7 +166,7 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     Raises
     ------
     NonSquareError
-        If the input is not a square 2-d array.
+        If the input is not a square 2-d array of dimension at least one.
     NonFiniteError
         If any entry is NaN or infinite.
     NotHermitianError
@@ -176,20 +174,16 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
         worst entry pair.
     """
     a = np.asarray(raw, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix entries must be finite (got NaN or infinity)")
-    asym = a - a.conj().T
-    worst = np.abs(asym)
+    h = HermitianMatrix(a)  # rejects non-square, empty and non-finite input
+    worst = np.abs(a - a.conj().T)
     i, j = np.unravel_index(np.argmax(worst), worst.shape)
-    limit = tol.cluster_tol * max(1.0, float(np.max(np.abs(a))))
+    limit = tol.cluster_tol * _scale(float(np.abs(a).max()))
     if worst[i, j] > limit:
         raise NotHermitianError(
             f"asymmetry {worst[i, j]:.3e} at entries ({i},{j})/({j},{i}) "
             f"exceeds tolerance {limit:.3e}"
         )
-    return HermitianMatrix(a)
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,29 +247,50 @@ def eigensystem(h: HermitianMatrix) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=u)
 
 
+def _norm(a: np.ndarray) -> float:
+    """Operator norm of a Hermitian array: its largest |eigenvalue|."""
+    return float(np.max(np.abs(_eigvalsh(a))))
+
+
 def operator_norm(h: HermitianMatrix) -> float:
     """Operator (spectral) norm: the largest absolute eigenvalue."""
-    return float(np.max(np.abs(_eigvalsh(h.entries))))
+    return _norm(h.entries)
 
 
-def loewner_slack(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances) -> float:
-    """Scale-aware PSD slack used by :func:`loewner_leq`."""
-    return _psd_slack(operator_norm(x), operator_norm(y), tol)
+def _scale(norm: float) -> float:
+    """2**ceil(log2 norm), 1 for a zero norm: the scale every tolerance follows.
+    A power of two, so it adds no rounding, capped at 2**1023 so it never overflows."""
+    # norm = mantissa * 2**exponent, 0.5 <= mantissa < 1; 0.5 marks a power of two
+    mantissa, exponent = math.frexp(norm) if norm > 0.0 else (0.5, 1)
+    return math.ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
 
 
-def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances) -> float:
-    """:func:`loewner_slack` from operator norms the caller already holds."""
-    return tol.psd_tol * (1.0 + norm_x + norm_y)
+def _unit(norm: float) -> float:
+    """min(1, :func:`_scale`): the "1 +" of a slack, made relative below unit scale."""
+    return min(1.0, _scale(norm))
+
+
+def _cluster_width(tol: Tolerances, *spectra: np.ndarray) -> float:
+    """Clustering width: cluster_tol times :func:`_scale` of the largest
+    |lambda|, read off the ends of ascending ``spectra`` the caller holds."""
+    return tol.cluster_tol * _scale(max(abs(w[i]) for w in spectra for i in (0, -1)))
+
+
+def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances, unit: float | None = None) -> float:
+    """psd_tol * (u + ||x|| + ||y||) from norms the caller holds; u is :func:`_unit`
+    of the larger norm unless given (a probe of f(x) <= f(y) takes u from x and y)."""
+    unit = _unit(max(norm_x, norm_y)) if unit is None else unit
+    return tol.psd_tol * (unit + norm_x + norm_y)
 
 
 def loewner_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Decide x <= y in the Loewner order, i.e. y - x positive semidefinite.
 
-    True iff lambda_min(y - x) >= -psd_tol * (1 + ||x|| + ||y||).
+    True iff lambda_min(y - x) >= -psd_tol * (u + ||x|| + ||y||).
     """
     x._require_same_dim(y)
     lam_min = float(_eigvalsh(y.entries - x.entries)[0])
-    return lam_min >= -loewner_slack(x, y, tol)
+    return lam_min >= -_psd_slack(operator_norm(x), operator_norm(y), tol)
 
 
 def functional_calculus(h: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatrix:

@@ -12,8 +12,9 @@ breakpoints is exact in exact arithmetic. Floating point adds one wrinkle:
 nearly equal eigenvalues are merged (clustered) first, and family
 evaluation inside a comparison uses a slack of one cluster width so that a
 breakpoint sitting a rounding error above the merged representative is
-still counted. Borderline spectra, where some eigenvalue gap falls between
-the cluster width and ten times it, can flip a verdict either way; see
+still counted; the width follows the operands' scale, so a verdict is the
+same for a x and a y at any a > 0. Borderline spectra, with an eigenvalue gap
+between one and ten cluster widths, can flip a verdict either way; see
 :func:`borderline_gap`, which the CLI uses to flag such comparisons.
 
 A family is kept as its eigenvector matrix U plus the cumulative rank at
@@ -42,11 +43,12 @@ from .core import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
+    _cluster_width,
     _eigvalsh,
     _svd,
     eigensystem,
 )
-from .errors import DimMismatchError, InvalidFamilyError
+from .errors import InvalidFamilyError
 
 __all__ = [
     "Projection",
@@ -187,9 +189,9 @@ class SpectralFamily:
 
 def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralFamily:
     """Spectral family of h from one eigendecomposition, with eigenvalues
-    within ``cluster_tol`` of each other merged to their mean."""
+    within one cluster width of each other merged to their mean."""
     es = eigensystem(h)
-    reps, ends = _clusters(es.eigenvalues, tol.cluster_tol)
+    reps, ends = _clusters(es.eigenvalues, _cluster_width(tol, es.eigenvalues))
     return SpectralFamily(reps, es.eigenvectors, ends)
 
 
@@ -259,13 +261,13 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     smallest failing breakpoint and the defect ||p - q p||, read off the
     cross-Gram matrix of the two eigenbases (see the module docstring).
     """
-    if x.dim != y.dim:
-        raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
+    x._require_same_dim(y)
     fx = spectral_family_of(x, tol)
     fy = spectral_family_of(y, tol)
-    grid = cluster_values(np.concatenate([fx.breakpoints, fy.breakpoints]), tol.cluster_tol)
-    rx = fx.ranks_at(grid, tol.cluster_tol)
-    ry = fy.ranks_at(grid, tol.cluster_tol)
+    width = _cluster_width(tol, fx.breakpoints, fy.breakpoints)
+    grid = cluster_values(np.concatenate([fx.breakpoints, fy.breakpoints]), width)
+    rx = fx.ranks_at(grid, width)
+    ry = fy.ranks_at(grid, width)
     g = fx.vectors.conj().T @ fy.vectors
     # fro2[i, j] = ||g[i:, :j]||_F^2, summed from the bottom-left corner.
     fro2 = np.zeros((x.dim + 1, x.dim + 1))
@@ -280,14 +282,12 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
 
 def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the clustering of the merged spectra was close: a gap lies
-    in (cluster_tol, 10 * cluster_tol), or gaps each within cluster_tol
-    chain into a cluster wider than 10 * cluster_tol. Only the eigenvalues
-    are needed, so no eigenvectors are computed."""
+    in (w, 10 w), w the cluster width of both spectra, or gaps each within
+    w chain into a cluster wider than 10 w. Only the eigenvalues are
+    needed, so no eigenvectors are computed."""
     vals = np.sort(np.concatenate([_eigvalsh(x.entries), _eigvalsh(y.entries)]))
+    width = _cluster_width(tol, vals)
     gaps = np.diff(vals)
-    ends = _clusters(vals, tol.cluster_tol)[1]
+    ends = _clusters(vals, width)[1]
     widths = vals[ends - 1] - vals[ends - np.diff(ends, prepend=0)]
-    return bool(
-        np.any((gaps > tol.cluster_tol) & (gaps < 10.0 * tol.cluster_tol))
-        or np.any(widths > 10.0 * tol.cluster_tol)
-    )
+    return bool(np.any((gaps > width) & (gaps < 10.0 * width)) or np.any(widths > 10.0 * width))

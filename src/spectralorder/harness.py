@@ -21,17 +21,19 @@ from .core import (
     Tolerances,
     EigenSystem,
     _apply_to_system,
+    _check_set,
     _eigh,
     _eigvalsh,
     _psd_slack,
+    _scale,
     _svd,
+    _unit,
     eigensystem,
     identity,
     loewner_leq,
     operator_norm,
 )
 from .errors import (
-    DimMismatchError,
     InternalLatticeError,
     InvalidParameterError,
     InvalidSpecError,
@@ -43,12 +45,14 @@ from .errors import (
 from .family import Projection, spectral_leq
 from .lattice import (
     OPERATOR_CLASSES,
+    affine_image,
     membership_closure_check,
     order_bounds,
     spectral_inf,
     spectral_sup,
 )
 from .limits import (
+    delta_floor,
     harmonic_pair_inf,
     inverse_power_inf,
     orthogonal_inf,
@@ -258,26 +262,27 @@ def monotone_probe(
     decomposition at one eigvalsh per f; nothing is shared with
     :func:`spectral_leq`, so the probe stays an independent check of it.
     """
-    if x.dim != y.dim:
-        raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
+    x._require_same_dim(y)
     if probes < 1:
         raise InvalidParameterError(f"probe count must be at least 1, got {probes}")
     ex, ey = eigensystem(x), eigensystem(y)
+    unit = _unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
     fns = _probe_functions(ex, ey, probes, seed)
     for name, f in fns:
-        if not _mapped_leq(ex, ey, f, tol):
+        if not _mapped_leq(ex, ey, f, unit, tol):
             return ProbeVerdict(refuted=True, witness=name, probes_run=len(fns))
     return ProbeVerdict(refuted=False, probes_run=len(fns))
 
 
 def _mapped_leq(
-    ex: EigenSystem, ey: EigenSystem, f: Callable[[float], float], tol: Tolerances
+    ex: EigenSystem, ey: EigenSystem, f: Callable[[float], float], unit: float, tol: Tolerances
 ) -> bool:
     """loewner_leq(f(x), f(y)) from decompositions of x and y, in one eigvalsh:
-    the norms in the slack are max|f(lambda)| over the spectra already held."""
+    the slack's norms are max|f(lambda)| over the spectra already held; its
+    unit is that of x and y, since the rounding in f(x) follows their scale."""
     fx, norm_fx = _apply_to_system(ex, f)
     fy, norm_fy = _apply_to_system(ey, f)
-    return float(_eigvalsh(fy.entries - fx.entries)[0]) >= -_psd_slack(norm_fx, norm_fy, tol)
+    return float(_eigvalsh(fy.entries - fx.entries)[0]) >= -_psd_slack(norm_fx, norm_fy, tol, unit)
 
 
 def power_order_probe(
@@ -291,21 +296,17 @@ def power_order_probe(
     Monomials are increasing on the positive half-line, so a violation
     soundly refutes the spectral-order comparison.
     """
-    if x.dim != y.dim:
-        raise DimMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
+    x._require_same_dim(y)
     ex, ey = eigensystem(x), eigensystem(y)
+    unit = _unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
     for name, es in (("x", ex), ("y", ey)):
         norm = float(np.max(np.abs(es.eigenvalues)))
         if float(es.eigenvalues[0]) < -_psd_slack(norm, norm, tol):
             raise NotPositiveError(f"{name} is not positive semidefinite")
     for n in range(1, max_power + 1):
-        if not _mapped_leq(ex, ey, lambda s, n=n: max(s, 0.0) ** n, tol):
+        if not _mapped_leq(ex, ey, lambda s, n=n: max(s, 0.0) ** n, unit, tol):
             return ProbeVerdict(refuted=True, witness=f"power n={n}", probes_run=n)
     return ProbeVerdict(refuted=False, probes_run=max_power)
-
-
-def _commutator_tolerance(x: HermitianMatrix, y: HermitianMatrix) -> float:
-    return 1e-8 * (1.0 + operator_norm(x) * operator_norm(y))
 
 
 def _refine_blocks(
@@ -335,34 +336,31 @@ def commuting_oracle(
     A seeded random linear combination splits degeneracies; blocks whose
     eigenvalue gaps fall below the cluster width are refined against each
     family member in turn. The result is the entrywise max (sup) or min
-    (inf) of the joint eigenvalues, conjugated back.
+    (inf) of the joint eigenvalues, conjugated back. The checks and the
+    width follow the family's scale.
     """
-    if len(mats) == 0:
-        raise NotCommutingError("expected a nonempty family")
-    dim = mats[0].dim
+    dim = _check_set(mats)
+    norms = np.array([operator_norm(m) for m in mats])
     for i in range(len(mats)):
-        if mats[i].dim != dim:
-            raise DimMismatchError("dimensions differ inside the family")
         for j in range(i + 1, len(mats)):
             comm = mats[i].entries @ mats[j].entries - mats[j].entries @ mats[i].entries
             comm_norm = float(_svd(comm, compute_uv=False)[0])
-            if comm_norm > _commutator_tolerance(mats[i], mats[j]):
+            bound = norms[i] * norms[j]
+            if comm_norm > 1e-8 * (_unit(bound) + bound):
                 raise NotCommutingError(
                     f"elements {i} and {j} do not commute (||[x,y]|| = {comm_norm:.3e})"
                 )
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(mats))
     probe = sum(c * m.entries for c, m in zip(coeffs, mats))
-    scale = 1.0 + max(operator_norm(m) for m in mats)
+    top = float(norms.max())
     ops = [probe] + [m.entries for m in mats]
-    basis = _refine_blocks(
-        np.eye(dim, dtype=np.complex128), ops, tol.cluster_tol * scale
-    )
+    basis = _refine_blocks(np.eye(dim, dtype=np.complex128), ops, tol.cluster_tol * _scale(top))
     joint = np.empty((len(mats), dim))
     for i, m in enumerate(mats):
         rotated = basis.conj().T @ m.entries @ basis
         off = rotated - np.diag(np.diagonal(rotated))
-        if float(_svd(off, compute_uv=False)[0]) > 1e-8 * scale:
+        if float(_svd(off, compute_uv=False)[0]) > 1e-8 * (_unit(top) + top):
             raise NotCommutingError(
                 "family is not jointly diagonalizable within tolerance"
             )
@@ -440,8 +438,10 @@ def vigier_check(
     if gap > limit_tol:
         failures.append(f"limit differs from last element by {gap:.3e}")
     dists = [operator_norm(x - limit) for x in chain]
+    # the largest entry bounds the norm within a factor dim: no eigvalsh
+    unit = _unit(float(np.max(np.abs(limit.entries))))
     for k, (a, b) in enumerate(zip(dists, dists[1:])):
-        if b > a + 1e-10 * (1.0 + a):
+        if b > a + 1e-10 * (unit + a):
             failures.append(f"distance to limit increased at step {k} -> {k + 1}")
     return VigierReport(
         ok=not failures, direction=direction, limit=limit, failures=tuple(failures)
@@ -534,8 +534,6 @@ def _suite_order_laws(spec: InstanceSpec, cases: int, tol: Tolerances):
 
 
 def _suite_sup_inf_routes(spec: InstanceSpec, cases: int, tol: Tolerances):
-    from .limits import delta_floor
-
     for i in range(cases):
         s = case_seed(spec.seed, i)
         count = 2 + i % 3
@@ -651,8 +649,6 @@ def _suite_orthogonal(spec: InstanceSpec, cases: int, tol: Tolerances):
 
 
 def _suite_affine_covariance(spec: InstanceSpec, cases: int, tol: Tolerances):
-    from .lattice import affine_image
-
     pairs = ((0.5, -1.0), (2.0, 3.0), (0.5, 3.0), (2.0, -1.0))
     for i in range(cases):
         s = case_seed(spec.seed, i)

@@ -42,8 +42,10 @@ from .core import (
     HermitianMatrix,
     Tolerances,
     _check_set,
+    _cluster_width,
     _eigh,
     _eigvalsh,
+    _psd_slack,
     eigensystem,
     identity,
     operator_norm,
@@ -127,16 +129,17 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
             raise InternalLatticeError(
                 f"eigenvectors of input {i} are not orthonormal within cluster_tol"
             )
-    grid = cluster_values(
-        np.concatenate([f.breakpoints for f in families]), tol.cluster_tol
-    )
+    # One width over all inputs; the cut and threshold act on unit-scale sums.
+    spectra = [f.breakpoints for f in families]
+    width = _cluster_width(tol, *spectra)
+    grid = cluster_values(np.concatenate(spectra), width)
     cut = len(mats) - min(0.5, len(mats) * tol.cluster_tol)
     thr = 10.0 * tol.psd_tol
 
     def ranks_at(lams: np.ndarray, reach: float) -> np.ndarray:
         return np.stack([f.ranks_at(lams, reach) for f in families], axis=1)
 
-    grid_ranks = ranks_at(grid, tol.cluster_tol)
+    grid_ranks = ranks_at(grid, width)
     midpoints = {}
     if __debug__:
         # Step constancy between grid points (the finite-set shadow of the
@@ -145,7 +148,7 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
         # midpoints where every input has the grid point's rank, since the
         # value there is the same computation.
         mid_ranks = ranks_at(0.5 * (grid[:-1] + grid[1:]), 0.0)
-        wide = np.diff(grid) >= 10.0 * tol.cluster_tol
+        wide = np.diff(grid) >= 10.0 * width
         changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
         midpoints = {i: mid_ranks[i] for i in np.flatnonzero(wide & changed)}
 
@@ -250,8 +253,7 @@ def affine_image(
     the map preserves the order."""
     if not alpha > 0.0:
         raise NonPositiveScaleError(f"scale must be positive, got {alpha}")
-    _check_set(mats)
-    eye = identity(mats[0].dim)
+    eye = identity(_check_set(mats))
     return [alpha * m + beta * eye for m in mats]
 
 
@@ -263,7 +265,7 @@ def _class_membership(
 ) -> tuple[bool, str]:
     w = eigensystem(m).eigenvalues
     nrm = float(np.max(np.abs(w)))
-    positive = bool(w[0] >= -tol.psd_tol * (1.0 + nrm)), f"lambda_min = {float(w[0]):.3e}"
+    positive = bool(w[0] >= -_psd_slack(nrm, 0.0, tol)), f"lambda_min = {float(w[0]):.3e}"
     unit_ball = nrm <= 1.0 + tol.psd_tol, f"norm = {nrm:.6f}"
     if klass == "positive":
         return positive

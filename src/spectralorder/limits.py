@@ -49,10 +49,10 @@ near n = 2**30. :func:`run_schedule` instead stops on the Richardson
 extrapolant E_n = 2 A_n - A_{n/2}, which cancels the c/n term: at the first
 n with ||E_n - E_{n/2}|| < ``_STOP_TOL * (u + ||E_n||)`` (fixed
 ``_STOP_TOL = 1e-9``) it returns E_n, typically near n = 2**19. The unit
-u = min(1, 2**ceil(log2 ||A_1||)) keeps the rule relative below unit scale;
-the shift check and the default inverse shift use the same unit, taken from
-the inputs' largest |eigenvalue|. Extrapolation uses only the route's own
-iterates, so the route stays independent of the lattice route.
+u = min(1, 2**ceil(log2 ||A_1||)) (``core._unit``) keeps the rule relative
+below unit scale; the shift checks, the invertibility floor and the default
+inverse shift use the unit of the inputs' largest |eigenvalue|. Extrapolation
+uses only the route's own iterates, so it stays independent of the lattice route.
 
 A carried residual is only as accurate as the windows that rotated it.
 Each factor therefore carries an absolute direction error. It starts at
@@ -82,8 +82,10 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
-    _eigvalsh,
+    _norm,
+    _psd_slack,
     _svd,
+    _unit,
     eigensystem,
     negative_part,
     operator_norm,
@@ -111,7 +113,7 @@ __all__ = [
     "INVERTIBILITY_FLOOR",
 ]
 
-# Minimum admissible lambda_min(x + delta I) for the inverse formulas.
+# Minimum admissible lambda_min(x + delta I) / u for the inverse formulas.
 INVERTIBILITY_FLOOR = 1e-6
 
 # Engine constants (natural-log units where noted).
@@ -214,21 +216,6 @@ def _power_mean_roots(
         yield n, np.exp(root_logs + log_scale), q @ cols
 
 
-def _norm(a: np.ndarray) -> float:
-    """Operator norm of a Hermitian array: its largest |eigenvalue|."""
-    return float(np.max(np.abs(_eigvalsh(a))))
-
-
-def _unit(norm: float) -> float:
-    """min(1, 2**ceil(log2 norm)), or 1 for a zero norm.
-
-    It stands in for the "1 +" of the stopping rule and the shift check:
-    above unit scale nothing changes, and below it both stay relative to
-    the input scale. A power of two, so it adds no rounding of its own.
-    """
-    return min(1.0, 2.0 ** math.ceil(math.log2(norm))) if norm > 0.0 else 1.0
-
-
 def _check_shift(delta: float, norm: float) -> None:
     """Reject a shift whose rounding, eps * |delta| on every shifted eigenvalue,
     exceeds the stopping rule at the input scale: the limit would be wrong."""
@@ -324,10 +311,9 @@ def power_sup_iterates(
     dim = _check_set(mats)
     systems = [eigensystem(m) for m in mats]
     floor, norm = _spectral_range(systems)
-    slack = tol.psd_tol * (_unit(norm) + norm)
     if delta is None:
         delta = floor
-    if delta > floor + slack:
+    if delta > floor + _psd_slack(norm, 0.0, tol):
         raise DeltaTooLargeError(
             f"shift {delta} exceeds the admissible floor {floor}; "
             "a shifted element would not be positive semidefinite"
@@ -375,14 +361,15 @@ def power_inf_iterates(
     dim = _check_set(mats)
     systems = [eigensystem(m) for m in mats]
     floor, norm = _spectral_range(systems)
+    unit = _unit(norm)
     if delta is None:
-        delta = max(0.0, _unit(norm) - floor)
+        delta = max(0.0, unit - floor)
     for i, es in enumerate(systems):
         lam_min = float(es.eigenvalues[0]) + delta
-        if lam_min < INVERTIBILITY_FLOOR:
+        if lam_min < INVERTIBILITY_FLOOR * unit:
             raise NotInvertibleError(
                 f"element {i}: lambda_min(x + delta I) = {lam_min:.3e} is below "
-                f"the invertibility floor {INVERTIBILITY_FLOOR:.0e}"
+                f"the invertibility floor {INVERTIBILITY_FLOOR * unit:.3e}"
             )
     inverted = [(1.0 / (es.eigenvalues + delta), es.eigenvectors) for es in systems]
     _check_shift(delta, norm)
@@ -404,7 +391,7 @@ def inverse_power_inf(
     """Infimum via the inverse power-mean limit.
 
     Requires every x + delta I to be positive invertible (lambda_min at
-    least the invertibility floor). The default shift max(0, u - floor),
+    least INVERTIBILITY_FLOOR * u). The default shift max(0, u - floor),
     with u = min(1, 2**ceil(log2 max|lambda|)), pushes the binding element's
     smallest eigenvalue to the input scale, at most one, minimizing the
     dynamic range of the inverted family without a shift so large that
@@ -430,6 +417,7 @@ def harmonic_pair_inf(
 
 
 def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
+    _check_set(mats)
     if len(mats) < 2:
         raise TooFewElementsError(
             "orthogonal-family formulas need at least two elements"
@@ -438,7 +426,8 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             prod = float(_svd(mats[i].entries @ mats[j].entries, compute_uv=False)[0])
-            if prod > 1e-10 * (1.0 + norms[i] * norms[j]):
+            bound = norms[i] * norms[j]
+            if prod > 1e-10 * (_unit(bound) + bound):
                 raise NotOrthogonalError(
                     f"elements {i} and {j} are not orthogonal: ||x y|| = {prod:.3e}"
                 )
@@ -446,7 +435,6 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
 
 def orthogonal_sup(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
     """Supremum of mutually orthogonal elements: the sum of positive parts."""
-    _check_set(mats)
     _check_orthogonal(mats)
     out = positive_part(mats[0])
     for m in mats[1:]:
@@ -456,7 +444,6 @@ def orthogonal_sup(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
 
 def orthogonal_inf(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
     """Infimum of mutually orthogonal elements: minus the sum of negative parts."""
-    _check_set(mats)
     _check_orthogonal(mats)
     out = negative_part(mats[0])
     for m in mats[1:]:

@@ -17,6 +17,10 @@ def eig2(m):
     return (tr - disc) / 2.0, (tr + disc) / 2.0
 
 
+# scales at which an absolute tolerance used to accept what it rejects at one
+SMALL_SCALES = (1e-6, 1e-9)
+
+
 class TestMakeHermitian:
     def test_diagonal_passthrough(self):
         m = h([[1, 0], [0, 2]])
@@ -26,14 +30,22 @@ class TestMakeHermitian:
         m = h([[0, 1j], [-1j, 0]])
         assert np.allclose(m.entries, [[0, 1j], [-1j, 0]])
 
-    def test_strictly_upper_triangular_rejected(self):
+    def test_strictly_upper_triangular_rejected(self, a=1.0):
         with pytest.raises(errors.NotHermitianError) as exc:
-            so.make_hermitian([[0, 1], [0, 0]])
+            so.make_hermitian(a * np.array([[0, 1], [0, 0]]))
         assert "(0,1)" in str(exc.value)
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    def test_strictly_upper_triangular_rejected_at_small_scale(self, a):
+        self.test_strictly_upper_triangular_rejected(a)
 
     def test_non_square_rejected(self):
         with pytest.raises(errors.NonSquareError):
             so.make_hermitian([[1, 2, 3], [4, 5, 6]])
+
+    def test_empty_rejected(self):
+        with pytest.raises(errors.NonSquareError):
+            so.make_hermitian(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):

@@ -290,7 +290,8 @@ class TestCompactComparison:
 
 class TestBorderline:
     def test_flags_gap_inside_band(self):
-        x = h(np.diag([0.0, 5e-8]))
+        # max|lambda| in (0.5, 1] puts the width at cluster_tol: 5e-8 is five widths
+        x = h(np.diag([0.5, 0.5 + 5e-8]))
         assert so.borderline_gap(x, x)
 
     def test_clean_spectra_not_flagged(self):
@@ -299,9 +300,10 @@ class TestBorderline:
         assert not so.borderline_gap(x, y)
 
     def test_flags_chained_cluster(self):
-        # 20 eigenvalues 0.9 * cluster_tol apart merge into one cluster
-        # 1.7e-7 wide: no single gap is borderline, the chain is.
-        x = h(np.diag(0.9e-8 * np.arange(20)))
+        # 20 eigenvalues 0.9 * cluster_tol apart (max|lambda| in (0.5, 1], so
+        # the width is cluster_tol) merge into one cluster 1.7e-7 wide: no
+        # single gap is borderline, the chain is.
+        x = h(np.diag(0.5 + 0.9e-8 * np.arange(20)))
         y = float(np.mean(np.diag(x.entries).real)) * so.identity(20)
         assert so.spectral_leq(x, y).holds and so.spectral_leq(y, x).holds
         assert so.borderline_gap(x, y)

@@ -195,9 +195,17 @@ class TestCommutingOracle:
         assert so.operator_norm(lattice - oracle) < 1e-6
         assert so.operator_norm(lattice - limit) < 1e-6
 
-    def test_rejects_noncommuting(self):
+    def test_rejects_noncommuting(self, a=1.0):
         with pytest.raises(errors.NotCommutingError):
-            so.commuting_oracle([h([[1, 0], [0, 0]]), h([[0.5, 0.5], [0.5, 0.5]])], "sup")
+            so.commuting_oracle([a * h([[1, 0], [0, 0]]), a * h([[0.5, 0.5], [0.5, 0.5]])], "sup")
+
+    @pytest.mark.parametrize("a", (1e-6, 1e-9))
+    def test_rejects_noncommuting_at_small_scale(self, a):
+        self.test_rejects_noncommuting(a)
+
+    def test_rejects_empty_family(self):
+        with pytest.raises(errors.EmptySetError):
+            so.commuting_oracle([], "sup")
 
 
 class TestChains:

@@ -405,3 +405,44 @@ class TestMembershipClosure:
     def test_rejects_unknown_class(self):
         with pytest.raises(errors.ClassViolationError):
             so.membership_closure_check([so.identity(2)], "unitary")
+
+
+SWEEP_SCALES = (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e10, 1e12)
+
+
+class TestScaleSweep:
+    """The spectral order commutes with positive scaling, sup(a X) = a sup X,
+    so every answer and verdict at scale a must be the unit-scale one."""
+
+    @staticmethod
+    def verdicts(mats, sup, inf):
+        pairs = [
+            (mats[0], mats[1]), (mats[1], mats[0]), (mats[0], sup),
+            (sup, mats[0]), (inf, mats[1]), (mats[2], inf),
+        ]
+        return [
+            (so.spectral_leq(x, y).holds, so.loewner_leq(x, y), so.borderline_gap(x, y))
+            for x, y in pairs
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", so.INSTANCE_KINDS)
+    def test_answers_and_verdicts_follow_the_scale(self, kind, seed):
+        mats = gen(seed, dim=8, kind=kind, count=3)
+        sup, inf = so.spectral_sup(mats), so.spectral_inf(mats)
+        want = self.verdicts(mats, sup, inf)
+        # -K I <= inf <= sup <= K I, K the largest input norm: the answers'
+        # scale, also where an answer is zero (a meet of projections)
+        top = max(so.operator_norm(m) for m in mats)
+        for a in SWEEP_SCALES:
+            scaled = [a * m for m in mats]
+            sup_a, inf_a = so.spectral_sup(scaled), so.spectral_inf(scaled)
+            assert so.operator_norm(sup_a - a * sup) <= 1e-12 * a * top
+            assert so.operator_norm(inf_a - a * inf) <= 1e-12 * a * top
+            assert self.verdicts(scaled, sup_a, inf_a) == want, a
+
+    @pytest.mark.parametrize("a", (1.0,) + SWEEP_SCALES)
+    def test_orthogonal_projections_stay_unordered(self, a):
+        x, y = a * h(np.diag([1.0, 0.0])), a * h(np.diag([0.0, 1.0]))
+        assert not so.loewner_leq(x, y)
+        assert so.monotone_probe(x, y).refuted

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import spectralorder as so
 from spectralorder import errors, limits
+from spectralorder.cli import main, matrices_to_document
 from spectralorder.limits import _graded_root_pairs
 
 
@@ -13,6 +16,9 @@ def h(rows):
 def gen(seed, dim=4, kind="positive", count=1):
     return so.gen_instances(so.InstanceSpec(dim=dim, seed=seed, kind=kind, count=count))
 
+
+# scales at which an absolute tolerance used to accept or reject wrongly
+SMALL_SCALES = (1e-6, 1e-9)
 
 A13 = h(np.diag([1.0, 3.0]))
 B22 = h(np.diag([2.0, 2.0]))
@@ -208,6 +214,18 @@ class TestScaleSweep:
         want = a * so.spectral_inf(self.MATS)
         assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
 
+    def test_shifted_sup_near_the_float_maximum(self, tmp_path, capsys):
+        # the unit saturates at 2**1023 instead of overflowing
+        scaled = [5e307 * m for m in self.MATS]
+        want = so.spectral_sup(scaled)
+        out = so.shifted_power_sup(scaled)
+        assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
+        path = tmp_path / "huge.json"
+        doc = matrices_to_document([(f"m{i}", m) for i, m in enumerate(scaled)])
+        path.write_text(json.dumps(doc))
+        assert main(["limits", "--input", str(path), "--formula", "shifted"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_shift_slack_is_relative_below_unit_scale(self):
         # 5e-10 above the floor is 500 times the set's scale: the shifted
         # elements are far from PSD, not within rounding of it
@@ -364,9 +382,13 @@ class TestShiftedPowerSup:
 
 
 class TestInversePowerInf:
-    def test_commuting_limit(self):
-        out = so.inverse_power_inf([A13, B22], delta=0.0)
-        assert np.allclose(out.entries, np.diag([1.0, 2.0]), atol=1e-7)
+    def test_commuting_limit(self, a=1.0):
+        out = so.inverse_power_inf([a * A13, a * B22], delta=0.0)
+        assert np.allclose(out.entries, a * np.diag([1.0, 2.0]), atol=1e-7 * a)
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    def test_commuting_limit_at_small_scale(self, a):
+        self.test_commuting_limit(a)
 
     def test_singleton_exact(self):
         m = gen(2, kind="positive_definite")[0]
@@ -374,19 +396,28 @@ class TestInversePowerInf:
         assert so.operator_norm(out - m) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_route_agreement_within_forty_doublings(self, seed):
-        mats = gen(seed, kind="positive_definite", count=2)
+    def test_route_agreement_within_forty_doublings(self, seed, a=1.0):
+        mats = [a * m for m in gen(seed, kind="positive_definite", count=2)]
         out = so.inverse_power_inf(mats, delta=0.0, tol=so.Tolerances(max_power_doublings=40))
-        assert so.operator_norm(out - so.spectral_inf(mats)) < 1e-6
+        assert so.operator_norm(out - so.spectral_inf(mats)) < 1e-6 * a
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_route_agreement_at_small_scale(self, seed, a):
+        self.test_route_agreement_within_forty_doublings(seed, a)
 
     def test_rejects_shift_that_rounds_the_spectrum_away(self):
         mats = gen(1, dim=6, kind="positive_definite", count=3)
         with pytest.raises(errors.DeltaTooLargeError):
             so.inverse_power_inf(mats, delta=1e17)
 
-    def test_rejects_singular_shift(self):
+    def test_rejects_singular_shift(self, a=1.0):
         with pytest.raises(errors.NotInvertibleError):
-            so.inverse_power_inf([h(np.diag([0.0, 1.0]))], delta=0.0)
+            so.inverse_power_inf([a * h(np.diag([0.0, 1.0]))], delta=0.0)
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    def test_rejects_singular_shift_at_small_scale(self, a):
+        self.test_rejects_singular_shift(a)
 
     def test_default_delta_reaches_unit_floor(self):
         mats = [h(np.diag([-2.0, 1.0]))]
@@ -401,9 +432,19 @@ class TestHarmonicPairInf:
         out = so.harmonic_pair_inf(so.identity(3), so.identity(3))
         assert so.operator_norm(out - so.identity(3)) < 1e-9
 
-    def test_commuting_min(self):
-        out = so.harmonic_pair_inf(h(np.diag([1.0, 4.0])), h(np.diag([4.0, 1.0])))
-        assert np.allclose(out.entries, np.eye(2), atol=1e-7)
+    def test_commuting_min(self, a=1.0):
+        out = so.harmonic_pair_inf(a * h(np.diag([1.0, 4.0])), a * h(np.diag([4.0, 1.0])))
+        assert np.allclose(out.entries, a * np.eye(2), atol=1e-7 * a)
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    def test_commuting_min_at_small_scale(self, a):
+        self.test_commuting_min(a)
+
+    @pytest.mark.parametrize("a", (1.0,) + SMALL_SCALES)
+    def test_route_agreement(self, a):
+        x, y = (a * m for m in gen(3, kind="positive_definite", count=2))
+        out = so.harmonic_pair_inf(x, y)
+        assert so.operator_norm(out - so.spectral_inf([x, y])) < 1e-6 * a
 
     def test_first_iterate_is_harmonic_mean(self):
         x, y = gen(9, kind="positive_definite", count=2)
@@ -421,9 +462,13 @@ class TestHarmonicPairInf:
         b = so.inverse_power_inf([x, y], delta=0.0, normalize=True)
         assert np.array_equal(a.entries, b.entries)
 
-    def test_rejects_non_invertible(self):
+    def test_rejects_non_invertible(self, a=1.0):
         with pytest.raises(errors.NotInvertibleError):
-            so.harmonic_pair_inf(h(np.diag([0.0, 1.0])), so.identity(2))
+            so.harmonic_pair_inf(a * h(np.diag([0.0, 1.0])), a * so.identity(2))
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    def test_rejects_non_invertible_at_small_scale(self, a):
+        self.test_rejects_non_invertible(a)
 
 
 class TestOrthogonalFormulas:
@@ -452,10 +497,20 @@ class TestOrthogonalFormulas:
         assert so.operator_norm(so.orthogonal_sup(mats) - so.spectral_sup(mats)) < 1e-8
         assert so.operator_norm(so.orthogonal_inf(mats) - so.spectral_inf(mats)) < 1e-8
 
-    def test_rejects_overlapping(self):
+    def test_rejects_overlapping(self, a=1.0):
         with pytest.raises(errors.NotOrthogonalError) as exc:
-            so.orthogonal_sup([so.identity(2), h(np.diag([1.0, 0.0]))])
+            so.orthogonal_sup([a * so.identity(2), a * h(np.diag([1.0, 0.0]))])
         assert "||x y||" in str(exc.value)
+
+    @pytest.mark.parametrize("a", SMALL_SCALES)
+    def test_rejects_overlapping_at_small_scale(self, a):
+        self.test_rejects_overlapping(a)
+
+    @pytest.mark.parametrize("a", (1.0,) + SMALL_SCALES)
+    def test_rejects_generic_pair(self, a):
+        x, y = gen(0, kind="generic", count=2)
+        with pytest.raises(errors.NotOrthogonalError):
+            so.orthogonal_sup([a * x, a * y])
 
     def test_rejects_singleton(self):
         with pytest.raises(errors.TooFewElementsError):
