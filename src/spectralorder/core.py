@@ -225,9 +225,9 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise EigenFailureError(f"eigenvalue computation did not converge: {exc}") from exc
 
 
-def _svd(a: np.ndarray, compute_uv: bool = True):
+def _svd(a: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
     try:
-        return np.linalg.svd(a, compute_uv=compute_uv)
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"singular value decomposition did not converge: {exc}") from exc
 

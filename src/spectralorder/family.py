@@ -202,13 +202,6 @@ def evaluate_at(sf: SpectralFamily, lam: float) -> Projection:
     return Projection.onto(sf.vectors[:, :rank], sf.dim)
 
 
-def _screened_norm(block: np.ndarray, thr: float) -> float:
-    """2-norm of ``block``, or its Frobenius norm (an upper bound) when
-    that is already at most ``thr``, so no SVD is spent on small blocks."""
-    fro = float(np.linalg.norm(block))
-    return fro if fro <= thr else float(_svd(block, compute_uv=False)[0])
-
-
 def reconstruct(sf: SpectralFamily, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Rebuild sum(lambda_i * (P_i - P_{i-1})), P_0 = 0, as the one product
     (U * lambda per column) U*.
@@ -285,6 +278,7 @@ def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEF
     in (w, 10 w), w the cluster width of both spectra, or gaps each within
     w chain into a cluster wider than 10 w. Only the eigenvalues are
     needed, so no eigenvectors are computed."""
+    x._require_same_dim(y)
     vals = np.sort(np.concatenate([_eigvalsh(x.entries), _eigvalsh(y.entries)]))
     width = _cluster_width(tol, vals)
     gaps = np.diff(vals)

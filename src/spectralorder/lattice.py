@@ -1,33 +1,38 @@
 """Suprema and infima of finite Hermitian sets in the spectral order.
 
-The supremum's spectral family is the pointwise meet of the input families.
-With finitely many matrices it is a step function on the merged breakpoint
-grid, already right continuous, so the pointwise formula reconstructs the
-answer exactly up to clustering. The right-continuity regularization needed
-for infinite sets is a structural no-op here; a debug check (``__debug__``)
-verifies step constancy at interval midpoints. Negation reverses the
-spectral order, so the infimum is -sup(-x) and needs no code of its own.
+The supremum's spectral family is the pointwise meet of the input families,
+E^sup_lambda = meet_i E^{x_i}_lambda. With finitely many matrices it is a
+step function on the merged breakpoint grid, already right continuous, so
+the pointwise formula reconstructs the answer exactly up to clustering. The
+right-continuity regularization needed for infinite sets is a structural
+no-op here; a debug check (``__debug__``) verifies step constancy at
+interval midpoints. Negation reverses the spectral order, so the infimum is
+-sup(-x) and needs no code of its own.
 
-The inputs are :class:`spectralorder.family.SpectralFamily` objects
-(eigenvectors plus cumulative ranks), checked once for orthonormal
-eigenvectors. At a grid point with input ranks (r_1, ..., r_k) the sum of
-the input values is S = sum_i U_i[:, :r_i] U_i[:, :r_i]*; its eigenvalues
-lie in [0, k], and the meet is the eigenspace within the slack of k, as in
-:func:`spectralorder.projections.proj_meet`. The families increase, so the
-meet found so far lies in every later value and is an invariant subspace of
-every later S: the next meet is the eigenspace of the compression of S onto
-the complement (exact deflation). The values are nested prefixes, so S
-rises in the Loewner order along the grid and so does the meet: a bisection
-on the top eigenvalue of S finds the last grid point with a zero meet, which
-vouches for every earlier one. From the next point on, one pass keeps S as
-a running sum (adding c c* for each column an input gains) and carries one
-unitary basis whose leading columns span the meet so far; the block of S
-coupling the meet to the complement is the monotonicity check, and the pass
-ends once the meet is the identity. The cost is one eigendecomposition per
-input, about log2 of the grid size top-eigenvalue computations, and one
-eigendecomposition per grid point from the first jump of the meet until it
-is full, on shrinking compressions, plus an SVD only when a coupling block's
-Frobenius norm exceeds the threshold. No dense projection is formed.
+By De Morgan, 1 - E^sup_lambda is the join of the input ranges above
+lambda, and that join is built from the top of the grid down. The inputs are
+:class:`spectralorder.family.SpectralFamily` objects (eigenvectors plus
+cumulative ranks), checked once for orthonormal eigenvectors. At each grid
+cluster, largest value first, the columns the inputs have there are
+projected off the join built so far; the left singular vectors of that
+residual with singular values above 10 * psd_tol leave the join, and the
+supremum takes the cluster's value on them. That is the containment rule of
+:func:`spectralorder.family.spectral_leq`: singular values of a residual are
+sines of angles, so inputs a small angle apart stay apart down to the
+threshold (eigenvalues of a sum of projections would lose them at the
+angle squared). A direction read off a small singular value carries the
+projection's rounding divided by it, so the new unit directions are
+projected off the join once more before they join it (classical
+Gram-Schmidt twice). The join only grows, so the family is monotone by
+construction, and the walk stops once the join is the whole space.
+
+The cost is one eigendecomposition per input and one reduced d x c SVD for
+each cluster visited, c the number of columns the cluster brings, with none
+below the cluster where the join reaches rank d; no eigendecomposition
+follows the inputs' and no dense projection is formed. Two guards raise
+:class:`InternalLatticeError`: every input must have rank d at the top grid
+point, so the walk terminates, and no cluster may add more directions than
+d - rank, which a threshold below the projection's rounding would do.
 """
 
 from __future__ import annotations
@@ -43,9 +48,8 @@ from .core import (
     Tolerances,
     _check_set,
     _cluster_width,
-    _eigh,
-    _eigvalsh,
     _psd_slack,
+    _svd,
     eigensystem,
     identity,
     operator_norm,
@@ -59,15 +63,14 @@ from .errors import (
 from .family import (
     SpectralFamily,
     _is_projection_spectrum,
-    _screened_norm,
     cluster_values,
     reconstruct,
     spectral_family_of,
     spectral_leq,
 )
 
-# Not called here: the lattice route computes its meets on the eigenvector
-# bases, and joins as meets of the negated set. The names stay bound because the benchmark's tracer tests install
+# Not called here: the lattice route builds its joins on the eigenvector
+# bases. The names stay bound because the benchmark's tracer tests install
 # and remove wrappers on ``lattice.proj_meet``.
 from .projections import proj_join, proj_meet  # noqa: F401
 
@@ -90,10 +93,10 @@ def lattice_family(
 ) -> SpectralFamily:
     """Spectral family of the supremum (``"sup"``) or infimum (``"inf"``)
     of a finite set: the pointwise meet of the input families, or for the
-    infimum the reflected family of -sup(-x). A bisection skips the grid
-    points before the meet's first jump, and one deflated pass on one basis
-    builds the rest, one eigendecomposition per grid point until the meet
-    is the identity.
+    infimum the reflected family of -sup(-x). The complement of the meet at
+    lambda is the join of the input ranges above lambda (De Morgan), built
+    from the top grid cluster down with one reduced SVD per cluster visited
+    and no eigendecomposition past the inputs', until it is the whole space.
 
     Raises
     ------
@@ -101,12 +104,12 @@ def lattice_family(
         If ``mode`` is neither ``"sup"`` nor ``"inf"``.
     InternalLatticeError
         If an input's eigenvectors are not orthonormal within cluster_tol,
-        the meet found so far is not invariant under a later sum within
-        tolerance, or the meets do not end at the identity (under
-        ``__debug__``, also if they are not constant between grid points,
-        checked wherever nesting does not already force the value).
-        That signals a tolerance misconfiguration and is never repaired by
-        re-sorting.
+        an input does not reach rank d at the top grid point, a cluster
+        adds more directions than the join has room for, or the join does
+        not end at the whole space (under ``__debug__``, also if the family
+        is not constant between grid points, checked wherever nesting does
+        not already force the value). That signals a tolerance
+        misconfiguration and is never repaired by re-sorting.
     """
     if mode == "sup":
         return _sup_family(mats, tol)
@@ -129,89 +132,77 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
             raise InternalLatticeError(
                 f"eigenvectors of input {i} are not orthonormal within cluster_tol"
             )
-    # One width over all inputs; the cut and threshold act on unit-scale sums.
+    # One width over all inputs; the threshold acts on unit columns, as in
+    # spectral_leq.
     spectra = [f.breakpoints for f in families]
     width = _cluster_width(tol, *spectra)
     grid = cluster_values(np.concatenate(spectra), width)
-    cut = len(mats) - min(0.5, len(mats) * tol.cluster_tol)
     thr = 10.0 * tol.psd_tol
 
     def ranks_at(lams: np.ndarray, reach: float) -> np.ndarray:
         return np.stack([f.ranks_at(lams, reach) for f in families], axis=1)
 
     grid_ranks = ranks_at(grid, width)
+    if np.any(grid_ranks[-1] != dim):
+        raise InternalLatticeError("lattice family does not terminate at the identity")
+    # Input columns with eigenvalues in cluster j: below[j]..grid_ranks[j].
+    below = np.vstack((np.zeros_like(grid_ranks[:1]), grid_ranks[:-1]))
     midpoints = {}
     if __debug__:
         # Step constancy between grid points (the finite-set shadow of the
-        # right-continuity regularization). Skip near-merged gaps where the
-        # evaluation slack could legitimately cross a breakpoint, and
-        # midpoints where every input has the grid point's rank, since the
-        # value there is the same computation.
+        # right-continuity regularization), keyed by the cluster above the
+        # midpoint. Skip near-merged gaps where the evaluation slack could
+        # legitimately cross a breakpoint, and midpoints where every input
+        # has the lower grid point's rank, since the value there is the
+        # same computation.
         mid_ranks = ranks_at(0.5 * (grid[:-1] + grid[1:]), 0.0)
         wide = np.diff(grid) >= 10.0 * width
         changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
-        midpoints = {i: mid_ranks[i] for i in np.flatnonzero(wide & changed)}
+        midpoints = {j + 1: mid_ranks[j] for j in np.flatnonzero(wide & changed)}
 
-    def added(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Sum of c c* over the columns the inputs gain from ranks lo to hi."""
-        cols = np.concatenate([f.vectors[:, a:b] for f, a, b in zip(families, lo, hi)], axis=1)
-        return cols @ cols.conj().T
+    def count_new(resid: np.ndarray) -> tuple[np.ndarray, int]:
+        """Left singular vectors of ``resid``, largest first, and how many
+        of them leave the join: those with singular values above ``thr``."""
+        u, s, _ = _svd(resid, full_matrices=False)
+        return u, int(np.count_nonzero(s > thr))
 
-    # The input values are nested prefixes, so the sum S rises in the
-    # Loewner order along the grid. Bisect on its top eigenvalue for the
-    # last point with a zero meet (the bracket): every earlier point has a
-    # zero meet too, and the pass starts after it with S kept running. The
-    # last point is left out of the search; the pass evaluates it anyway.
-    at = np.zeros(len(families), dtype=int)
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    bracket, jump = -1, len(grid) - 1
-    while jump - bracket > 1:
-        mid = (bracket + jump) // 2
-        s_mid = s + added(at, grid_ranks[mid])
-        if _eigvalsh(s_mid)[-1] > cut:
-            jump = mid
-        else:
-            bracket, at, s = mid, grid_ranks[mid], s_mid
-
-    # The first ``rank`` columns of q span the meet found so far.
-    q = np.eye(dim, dtype=np.complex128)
+    # The last ``rank`` columns of q span the join of the input ranges above
+    # the clusters passed so far; the sup's family value is their complement.
+    q = np.zeros((dim, dim), dtype=np.complex128)
     rank = 0
-
-    def deflate(total: np.ndarray) -> tuple[np.ndarray, int]:
-        """Eigenvectors of ``total`` compressed onto the complement of the
-        meet, largest first, and how many extend it."""
-        p = q.conj().T @ (total @ q[:, rank:])
-        coupling = _screened_norm(p[:rank], thr)
-        if coupling > thr:
+    breakpoints, ranks = [], []
+    for j in range(len(grid) - 1, -1, -1):
+        lo, hi = below[j], grid_ranks[j]
+        cols = np.concatenate([f.vectors[:, a:b] for f, a, b in zip(families, lo, hi)], axis=1)
+        join = q[:, dim - rank :]
+        resid = cols - join @ (join.conj().T @ cols)
+        u, new = count_new(resid)
+        if new > dim - rank:
             raise InternalLatticeError(
-                f"lattice family lost monotonicity (defect {coupling:.3e}); "
+                f"lattice join gained {new} directions with {dim - rank} left; "
                 "check cluster_tol/psd_tol against the input spectra"
             )
-        w, v = _eigh(p[rank:])
-        return v[:, ::-1], int(np.count_nonzero(w > cut))
-
-    def check_midpoint(i: int) -> None:
-        if i in midpoints and deflate(s + added(at, midpoints[i]))[1]:
-            raise InternalLatticeError("lattice family is not constant between merged breakpoints")
-
-    # Midpoints before the bracket nest under its zero meet; its own is not.
-    check_midpoint(bracket)
-    breakpoints, ranks = [], []
-    for i in range(bracket + 1, len(grid)):
-        s += added(at, grid_ranks[i])
-        at = grid_ranks[i]
-        v, new = deflate(s)
-        if new:
-            q[:, rank:] = q[:, rank:] @ v
-            rank += new
-            breakpoints.append(float(grid[i]))
-            ranks.append(rank)
-            if rank == dim:
-                break
-        check_midpoint(i)
+        if not new:
+            continue
+        # Columns above the midpoint add no fewer directions than the whole
+        # cluster exactly when the family is constant below it.
+        if j in midpoints:
+            above = np.concatenate([np.arange(a, b) >= m for a, b, m in zip(lo, hi, midpoints[j])])
+            if count_new(resid[:, above])[1] != new:
+                raise InternalLatticeError("lattice family is not constant between merged breakpoints")
+        breakpoints.append(float(grid[j]))
+        ranks.append(dim - rank)
+        # A direction read off a small singular value carries the
+        # projection's rounding divided by that value; the second
+        # Gram-Schmidt pass, on the unit directions, removes it.
+        fresh = u[:, :new]
+        q[:, dim - rank - new : dim - rank] = fresh - join @ (join.conj().T @ fresh)
+        rank += new
+        if rank == dim:
+            break
     if rank != dim:
         raise InternalLatticeError("lattice family does not terminate at the identity")
-    return SpectralFamily(np.asarray(breakpoints), q, np.asarray(ranks))
+    return SpectralFamily(np.asarray(breakpoints[::-1]), q, np.asarray(ranks[::-1]))
 
 
 def spectral_sup(mats: Sequence[HermitianMatrix], tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:

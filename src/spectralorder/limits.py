@@ -84,6 +84,7 @@ from .core import (
     _eigh,
     _norm,
     _psd_slack,
+    _scale,
     _svd,
     _unit,
     eigensystem,
@@ -277,8 +278,11 @@ def _run_schedule(
                 ext_trace.append(ext_residual)
                 # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
                 # taken with the Frobenius norm (widened past its roundoff)
-                # cannot stop the run, so the exact norm is skipped.
-                fro = _FRO_MARGIN * float(np.linalg.norm(ext))
+                # cannot stop the run, so the exact norm is skipped. The sum
+                # of squares is taken on E_n over its power-of-two scale,
+                # which adds no rounding and cannot overflow.
+                scale = _scale(float(np.max(np.abs(ext))))
+                fro = _FRO_MARGIN * scale * float(np.linalg.norm(ext / scale))
                 if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
                     unit + _norm(ext)
                 ):

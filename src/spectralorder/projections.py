@@ -1,13 +1,19 @@
 """Meets and joins in the projection lattice of a matrix algebra.
 
-Meet and join read the same eigendecomposition of the sum of the k
-projections, whose eigenvalues lie in [0, k]. The meet, the projection onto
-the intersection of the ranges, is the eigenspace at eigenvalue k: the sum
-attains k exactly on vectors fixed by all of the projections. The join, the
-projection onto the span of the ranges, is the range of the sum: the
-eigenspace of the eigenvalues above zero. Both cut with the same slack, so
-the join is the complement of the meet of the complements without computing
-either.
+Every operation here decides containment by the linear rule of
+:func:`proj_leq`: a unit vector lies in a range when its distance to it, the
+sine of the angle between them, is at most 10 * psd_tol. Validating an input
+takes one eigendecomposition, which also yields orthonormal bases of its
+range (eigenvalue 1) and of its kernel (eigenvalue 0). The join, the
+projection onto the span of the ranges, is the range of the stacked range
+bases: their left singular vectors with singular values above the threshold,
+from one SVD. Singular values are read off sines, so two ranges at a small
+angle theta, with sines near theta, stay apart down to the threshold;
+eigenvalues of the sum of the projections would have lost them at theta
+squared. The meet, the projection onto the intersection of the ranges, is
+the complement of the join of the complements (De Morgan), from the kernel
+bases by the same SVD rule. This route shares no code with the lattice route,
+so agreement between the two still counts as evidence.
 """
 
 from __future__ import annotations
@@ -16,27 +22,37 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HermitianMatrix, Tolerances, _eigh, _svd
+from .core import DEFAULT_TOL, HermitianMatrix, Tolerances, _svd, eigensystem
 from .errors import (
     DimMismatchError,
     NoConvergenceError,
     NotProjectionError,
 )
-from .family import Projection, is_projection, range_defect
+from .family import Projection, _is_projection_spectrum, range_defect
 
 __all__ = ["proj_leq", "proj_meet", "proj_join", "alternating_meet_oracle"]
 
 
-def _check_projections(ps: Sequence[Projection], tol: Tolerances) -> int:
+def _check_projections(
+    ps: Sequence[Projection], tol: Tolerances
+) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
+    """Validate, then return the dimension and, per projection, orthonormal
+    bases of its range and of its kernel, all from one eigendecomposition
+    each (the one :func:`spectralorder.family.is_projection` runs)."""
     if len(ps) == 0:
         raise NotProjectionError("expected at least one projection")
     dim = ps[0].dim
+    ranges, kernels = [], []
     for p in ps:
         if p.dim != dim:
             raise DimMismatchError(f"dimensions differ: {p.dim} vs {dim}")
-        if not is_projection(p.matrix, tol):
+        es = eigensystem(p.matrix)
+        if not _is_projection_spectrum(es.eigenvalues, tol):
             raise NotProjectionError("input is not a projection within tolerance")
-    return dim
+        ones = es.eigenvalues > 0.5
+        ranges.append(es.eigenvectors[:, ones])
+        kernels.append(es.eigenvectors[:, ~ones])
+    return dim, ranges, kernels
 
 
 def proj_leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -49,33 +65,28 @@ def proj_leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> boo
     return range_defect(p, q) <= 10.0 * tol.psd_tol
 
 
-def _sum_eigh(
-    ps: Sequence[Projection], tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Validate, then eigendecompose sum(p_i): (eigenvalues, eigenvectors,
-    dim, slack). An eigenvalue within ``slack`` of k or of zero counts as
-    k or zero; any larger deficit is spectral (a nonzero principal angle),
-    not roundoff, for generic inputs."""
-    dim = _check_projections(ps, tol)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for p in ps:
-        total += p.entries
-    w, u = _eigh((total + total.conj().T) / 2.0)
-    return w, u, dim, min(0.5, len(ps) * tol.cluster_tol)
+def _span(bases: list[np.ndarray], tol: Tolerances) -> np.ndarray:
+    """Orthonormal basis of the span of ``bases``: the left singular vectors
+    of the stacked columns whose singular values exceed 10 * psd_tol."""
+    stacked = np.concatenate(bases, axis=1)
+    if not stacked.shape[1]:
+        return stacked
+    u, s, _ = _svd(stacked, full_matrices=False)
+    return u[:, s > 10.0 * tol.psd_tol]
 
 
 def proj_meet(ps: Sequence[Projection], tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Projection onto the intersection of the ranges: the eigenspace of
-    sum(p_i) at eigenvalue k = len(ps)."""
-    w, u, dim, slack = _sum_eigh(ps, tol)
-    return Projection.onto(u[:, w > len(ps) - slack], dim)
+    """Projection onto the intersection of the ranges: the complement of
+    the join of the complements."""
+    dim, _, kernels = _check_projections(ps, tol)
+    outside = _span(kernels, tol)
+    return Projection(HermitianMatrix(np.eye(dim) - outside @ outside.conj().T))
 
 
 def proj_join(ps: Sequence[Projection], tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Projection onto the span of the ranges: the range of sum(p_i), i.e.
-    its eigenspace for eigenvalues above the slack."""
-    w, u, dim, slack = _sum_eigh(ps, tol)
-    return Projection.onto(u[:, w > slack], dim)
+    """Projection onto the span of the ranges."""
+    dim, ranges, _ = _check_projections(ps, tol)
+    return Projection.onto(_span(ranges, tol), dim)
 
 
 def alternating_meet_oracle(

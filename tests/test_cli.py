@@ -361,16 +361,18 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
     def test_lattice_midpoint_failure_exits_three(self, tmp_path, capsys):
-        # A cluster width far above the eigenvalue gaps merges breakpoints
-        # whose values are not nested; the lattice route's monotonicity
-        # check reports it as a numerical failure.
-        mats = so.gen_instances(so.InstanceSpec(dim=8, seed=0, kind="generic", count=3))
-        path = tmp_path / "wide.json"
+        # Breakpoints 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into one grid
+        # point whose evaluation slack misses the last, so the family jumps
+        # between grid points; the lattice route's midpoint check reports
+        # it as a numerical failure.
+        mats = [so.make_hermitian(np.diag([b, 1.0])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]
+        path = tmp_path / "chained.json"
         path.write_text(json.dumps(matrices_to_document([(f"m{i}", m) for i, m in enumerate(mats)])))
-        code = main(["lattice", "--input", str(path), "--mode", "sup", "--tol-cluster", "0.05"])
+        code = main(["lattice", "--input", str(path), "--mode", "sup", "--tol-cluster", "1e-3"])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: InternalLatticeError") and err.count("\n") == 1
+        assert "not constant" in err
         assert "Traceback" not in err
 
     def test_every_error_class_has_an_exit_code(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors, harness, limits, projections
+from spectralorder import errors, harness, limits
 
 
 def h(rows):
@@ -111,9 +111,8 @@ class TestEigenFailure:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
 
-    def test_proj_meet(self, monkeypatch):
-        # Skip the input validation, which has an eigendecomposition of its own.
-        monkeypatch.setattr(projections, "is_projection", lambda m, tol: True)
+    def test_proj_meet(self):
+        # The validation's eigendecomposition also yields the kernel bases.
         p = so.Projection.identity(2)
         with pytest.raises(errors.EigenFailureError):
             so.proj_meet([p, p])
@@ -156,8 +155,14 @@ class TestSvdFailure:
             lambda: so.orthogonal_sup([h([[1, 0], [0, 0]]), h([[0, 0], [0, 2]])]),
             lambda: so.alternating_meet_oracle(so.Projection.identity(2), so.Projection.identity(2)),
             lambda: so.commuting_oracle([h([[1, 0], [0, 2]]), h([[3, 0], [0, 4]])], "sup"),
+            lambda: so.proj_meet([so.Projection(h([[1, 0], [0, 0]])), so.Projection(h([[0.5, 0.5], [0.5, 0.5]]))]),
+            lambda: so.proj_join([so.Projection(h([[1, 0], [0, 0]])), so.Projection(h([[0.5, 0.5], [0.5, 0.5]]))]),
+            lambda: so.spectral_sup([h([[1, 0], [0, 2]]), h([[3, 1], [1, 4]])]),
         ],
-        ids=["spectral_leq", "proj_leq", "orthogonal_sup", "alternating_meet", "commuting_oracle"],
+        ids=[
+            "spectral_leq", "proj_leq", "orthogonal_sup", "alternating_meet", "commuting_oracle",
+            "proj_meet", "proj_join", "spectral_sup",
+        ],
     )
     def test_raises_eigen_failure(self, call):
         with pytest.raises(errors.EigenFailureError):

@@ -308,6 +308,10 @@ class TestBorderline:
         assert so.spectral_leq(x, y).holds and so.spectral_leq(y, x).holds
         assert so.borderline_gap(x, y)
 
+    def test_dim_mismatch(self):
+        with pytest.raises(errors.DimMismatchError):
+            so.borderline_gap(so.identity(2), so.identity(3))
+
 
 class TestProjectionType:
     def test_rank_and_complement(self):

@@ -6,6 +6,8 @@ from spectralorder import errors
 from spectralorder import family, lattice, projections
 from spectralorder.family import cluster_values
 
+from near_alignment import NEAR_ANGLES, near_aligned_pair
+
 
 def h(rows):
     return so.make_hermitian(np.asarray(rows, dtype=complex))
@@ -156,21 +158,20 @@ class TestLatticeFamily:
             lattice.lattice_family([A13, B22], "max")
 
     def test_coupling_guard(self, monkeypatch):
-        # The first deflation reports its bottom eigenvector as a meet
-        # column; the next sum does not leave that vector invariant.
-        eigh = lattice._eigh
-        calls = []
+        # Every residual direction is reported as new, so the duplicate
+        # column in each cluster of [x, x], which the join already holds,
+        # counts as leaving it; the third cluster claims two directions
+        # with one left.
+        svd = lattice._svd
 
-        def misordered(a):
-            w, v = eigh(a)
-            calls.append(a.shape)
-            if len(calls) > 1:
-                return w, v
-            return np.append(w[:-1], np.inf), v[:, ::-1]
+        def overcounting(a, **kwargs):
+            u, s, vh = svd(a, **kwargs)
+            return u, np.ones_like(s), vh
 
-        monkeypatch.setattr(lattice, "_eigh", misordered)
-        with pytest.raises(errors.InternalLatticeError, match="monotonicity"):
-            lattice.lattice_family(gen(4, count=2), "sup")
+        monkeypatch.setattr(lattice, "_svd", overcounting)
+        x = gen(4, dim=5)[0]
+        with pytest.raises(errors.InternalLatticeError, match="2 directions with 1 left"):
+            lattice.lattice_family([x, x], "sup")
 
     def test_midpoint_guard(self):
         # Breakpoints 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into one grid
@@ -182,9 +183,18 @@ class TestLatticeFamily:
             lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
 
     def test_termination_guard(self, monkeypatch):
-        monkeypatch.setattr(lattice, "_eigh", lambda a: (np.zeros(len(a)), np.eye(len(a))))
+        # No residual direction is reported as new, so the join stays empty.
+        monkeypatch.setattr(lattice, "_svd", lambda a, **kwargs: (a, np.zeros(a.shape[1]), None))
         with pytest.raises(errors.InternalLatticeError, match="terminate"):
             lattice.lattice_family(gen(4, count=2), "sup")
+
+    def test_top_cluster_must_hold_every_input(self):
+        # Top eigenvalues 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into the
+        # top grid point, whose evaluation slack misses the last one, so
+        # that input never reaches rank d.
+        mats = [h(np.diag([-1.0, b])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]
+        with pytest.raises(errors.InternalLatticeError, match="terminate"):
+            lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
 
     def test_checks_input_eigenbases_once(self):
         # Roundoff in the eigenvectors exceeds a cluster_tol of 1e-18.
@@ -199,43 +209,43 @@ def counting(monkeypatch, *names):
     for name in names:
         original = getattr(np.linalg, name)
 
-        def wrapper(a, _original=original, _calls=calls[name]):
+        def wrapper(a, *args, _original=original, _calls=calls[name], **kwargs):
             _calls.append(a.shape)
-            return _original(a)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapper)
     return calls
 
 
-class TestBisection:
-    """Edge cases of the bisection for the last zero meet (the bracket)."""
+class TestWalkEdges:
+    """Where the top-down walk starts and stops: one eigh per input, and one
+    SVD per grid cluster it visits, none after the join reaches rank d."""
 
     def test_scalar_set_is_a_one_point_grid(self, monkeypatch):
         mats = [2.5 * so.identity(5)] * 2
-        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        calls = counting(monkeypatch, "eigh", "eigvalsh", "svd")
         sf = lattice.lattice_family(mats, "sup")
         assert sf.breakpoints.tolist() == [2.5] and sf.ranks.tolist() == [5]
-        # No point to bisect: the inputs and the one grid point.
-        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (3, 0)
+        # The one cluster brings all ten columns and fills the join.
+        assert [len(calls[n]) for n in ("eigh", "eigvalsh", "svd")] == [2, 0, 1]
+        assert calls["svd"] == [(5, 10)]
 
     def test_first_jump_at_the_first_grid_point(self, monkeypatch):
         x = gen(4, dim=6)[0]
-        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        calls = counting(monkeypatch, "eigh", "eigvalsh", "svd")
         sf = lattice.lattice_family([x, x], "sup")
         assert sf.ranks.tolist() == [1, 2, 3, 4, 5, 6]
         assert np.linalg.norm(so.reconstruct(sf).entries - x.entries, 2) <= 1e-12
-        # Every grid point has a jump, and the bisection finds no bracket.
-        assert len(calls["eigh"]) == 2 + 6
-        assert len(calls["eigvalsh"]) <= int(np.ceil(np.log2(6)))
+        # The join gains one direction at every grid point, down to the last.
+        assert [len(calls[n]) for n in ("eigh", "eigvalsh", "svd")] == [2, 0, 6]
 
     def test_first_jump_at_the_last_grid_point(self, monkeypatch):
-        # The join of the two projections is the identity, so the meet is
-        # zero at grid point 0 (the bracket) and only grid point 1 is
-        # decomposed.
-        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        # The join of the two lines at grid point 1 is the whole space, so
+        # the walk stops there and grid point 0 is never visited.
+        calls = counting(monkeypatch, "eigh", "eigvalsh", "svd")
         sf = lattice.lattice_family([P_E1, P_DIAG], "sup")
         assert sf.breakpoints.tolist() == [1.0] and sf.ranks.tolist() == [2]
-        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (2 + 1, 1)
+        assert [len(calls[n]) for n in ("eigh", "eigvalsh", "svd")] == [2, 0, 1]
 
     def test_bracket_midpoint_is_checked(self):
         # Input i has eigenvalue 0.9e-3 * i on e1, -4e-3 * (i + 1) on a unit
@@ -243,8 +253,8 @@ class TestBisection:
         # no two share a line) and 1 on the rest. At cluster_tol 1e-3 the
         # grid is -16e-3, -12e-3, -8e-3, -4e-3, the chained cluster at
         # 1.35e-3 and 1; every gap but the last is below ten cluster
-        # widths. The meet is zero up to the cluster (the bracket), and at
-        # the next midpoint all four inputs contain e1.
+        # widths. The meet is zero up to the cluster, where the walk ends,
+        # and at the next midpoint all four inputs contain e1.
         mats = []
         for i in range(4):
             t = i * np.pi / 4
@@ -260,7 +270,7 @@ class TestBisection:
 class TestCostModel:
     """Call counts of the compact lattice route; nothing here is timed."""
 
-    def test_one_eigh_per_input_and_per_grid_point(self, monkeypatch):
+    def test_one_eigh_per_input_and_one_svd_per_cluster(self, monkeypatch):
         mats = gen(5, dim=16, count=3)
         tol = so.DEFAULT_TOL
         families = [so.spectral_family_of(m, tol) for m in mats]
@@ -271,28 +281,30 @@ class TestCostModel:
         def ranks(lam, slack):
             return [so.evaluate_at(f, lam + slack).rank for f in families]
 
-        # The meet ranks by the dense definition: the pass evaluates the
-        # points from the first nonzero meet up to the first full one.
+        # The meet ranks by the dense definition: the walk visits the grid
+        # from the top down to the first nonzero meet, where the join of
+        # the ranges above reaches rank d.
         meet_ranks = [
             so.proj_meet([so.evaluate_at(f, lam + tol.cluster_tol) for f in families], tol).rank
             for lam in grid
         ]
         first = next(i for i, r in enumerate(meet_ranks) if r > 0)
-        last = meet_ranks.index(16)
-        assert 0 < first < last
-        # Midpoints of wide gaps where some input changes rank are the only
-        # ones the step-constancy check recomputes; before the first jump
-        # (the bracket's own excepted) and from the full meet on, nesting
-        # forces their value.
+        assert 0 < first < len(grid) - 1
+        # Midpoints of wide gaps where some input changes rank, below a
+        # cluster that adds directions, are the only ones the
+        # step-constancy check recomputes; elsewhere nesting forces them.
         recomputed = sum(
-            ranks(0.5 * (a + b), 0.0) != ranks(a, tol.cluster_tol)
-            for a, b in zip(grid[first - 1 : last], grid[first : last + 1])
-            if b - a >= 10.0 * tol.cluster_tol
+            ranks(0.5 * (grid[i - 1] + grid[i]), 0.0) != ranks(grid[i - 1], tol.cluster_tol)
+            for i in range(first, len(grid))
+            if grid[i] - grid[i - 1] >= 10.0 * tol.cluster_tol
+            and meet_ranks[i] > meet_ranks[i - 1]
         )
-        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        calls = counting(monkeypatch, "eigh", "eigvalsh", "svd")
         so.spectral_sup(mats)
-        assert len(calls["eigh"]) == len(mats) + (last - first + 1) + recomputed
-        assert len(calls["eigvalsh"]) <= int(np.ceil(np.log2(len(grid)))) + 1
+        assert len(calls["eigh"]) == len(mats)
+        assert calls["eigvalsh"] == []
+        # Every cluster of a generic set brings columns.
+        assert len(calls["svd"]) == (len(grid) - first) + recomputed
 
     def test_lattice_family_never_revalidates_projections(self, monkeypatch):
         calls = []
@@ -301,9 +313,9 @@ class TestCostModel:
             calls.append(1)
             return True
 
-        # lattice binds no is_projection; these are the modules that do.
-        for module in (family, projections):
-            monkeypatch.setattr(module, "is_projection", counting_is_projection)
+        # Every projection check runs this rule on a spectrum.
+        for module in (family, projections, lattice):
+            monkeypatch.setattr(module, "_is_projection_spectrum", counting_is_projection)
         for mode in ("sup", "inf"):
             lattice.lattice_family(gen(6, dim=16, count=3), mode)
         assert calls == []
@@ -446,3 +458,36 @@ class TestScaleSweep:
         x, y = a * h(np.diag([1.0, 0.0])), a * h(np.diag([0.0, 1.0]))
         assert not so.loewner_leq(x, y)
         assert so.monotone_probe(x, y).refuted
+
+
+class TestNearAlignment:
+    """Inputs a small rotation apart: the sup and inf bound both under the
+    library's own order at every angle, where a containment rule on
+    cosines (quadratic in the angle) loses them below about 1e-4."""
+
+    @pytest.mark.parametrize("theta", NEAR_ANGLES)
+    @pytest.mark.parametrize("dim", (2, 8))
+    def test_sup_and_inf_bound_every_input(self, dim, theta):
+        mats = near_aligned_pair(dim, theta)
+        sup, inf = so.spectral_sup(mats), so.spectral_inf(mats)
+        for m in mats:
+            assert so.spectral_leq(m, sup).holds
+            assert so.spectral_leq(inf, m).holds
+
+    @pytest.mark.parametrize("theta", NEAR_ANGLES)
+    @pytest.mark.parametrize("dim", (2, 8))
+    def test_basis_stays_orthonormal(self, dim, theta):
+        # Directions read off singular values near the threshold carry the
+        # projection's rounding divided by them unless projected again.
+        mats = near_aligned_pair(dim, theta)
+        for mode in ("sup", "inf"):
+            u = lattice.lattice_family(mats, mode).vectors
+            assert np.linalg.norm(u.conj().T @ u - np.eye(dim), 2) <= 1e-12
+
+    # Below 1e-7 the power route still resolves the pair down to its
+    # residual clamp and returns a different sup; that band is not asserted.
+    @pytest.mark.parametrize("theta", [t for t in NEAR_ANGLES if t >= 1e-7])
+    @pytest.mark.parametrize("dim", (2, 8))
+    def test_power_route_agrees(self, dim, theta):
+        mats = near_aligned_pair(dim, theta)
+        assert so.operator_norm(so.shifted_power_sup(mats) - so.spectral_sup(mats)) <= 1e-6
