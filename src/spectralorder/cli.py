@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import errors
-from .core import HermitianMatrix, Tolerances, loewner_leq, make_hermitian, operator_norm
+from .core import DEFAULT_TOL, HermitianMatrix, Tolerances, loewner_leq, make_hermitian, operator_norm
 from .family import SpectralFamily, borderline_gap, reconstruct, spectral_leq
 from .harness import (
     INSTANCE_KINDS,
@@ -47,7 +47,7 @@ from .harness import (
     run_suite,
 )
 from .lattice import lattice_family, spectral_inf, spectral_sup
-from .limits import _run_schedule, orthogonal_sup, power_inf_iterates, power_sup_iterates
+from .limits import orthogonal_sup, power_inf_iterates, power_sup_iterates, run_schedule
 
 EXIT_OK = 0
 
@@ -220,10 +220,8 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _trace_entries(trace: list[tuple[int, float]], ext_trace: list[float | None]) -> list[dict]:
-    return [
-        {"n": n, "residual": r, "extrapolant_residual": e} for (n, r), e in zip(trace, ext_trace)
-    ]
+def _trace_entries(trace: list[tuple[int, float, float | None]]) -> list[dict]:
+    return [{"n": n, "residual": r, "extrapolant_residual": e} for n, r, e in trace]
 
 
 def cmd_limits(args) -> int:
@@ -232,8 +230,7 @@ def cmd_limits(args) -> int:
     names = args.names.split(",") if args.names else list(named)
     mats = _pick(named, names)
     start = time.perf_counter()
-    trace: list[tuple[int, float]] = []
-    ext_trace: list[float | None] = []
+    trace: list[tuple[int, float, float | None]] = []
     if args.formula == "orthosum":
         result = orthogonal_sup(mats)
         reference = spectral_sup(mats, tol)
@@ -253,7 +250,7 @@ def cmd_limits(args) -> int:
             iterates = power_inf_iterates(mats, 0.0, True, tol)
             what, lattice_op = "power-mean infimum", spectral_inf
         try:
-            result, trace, ext_trace = _run_schedule(iterates, what)
+            result, trace = run_schedule(iterates, what)
         except errors.NoConvergenceError as exc:
             return _no_convergence_report(args, exc, start)
         reference = lattice_op(mats, tol)
@@ -262,7 +259,7 @@ def cmd_limits(args) -> int:
         "command": "limits",
         "formula": args.formula,
         "names": names,
-        "residual_trace": _trace_entries(trace, ext_trace),
+        "residual_trace": _trace_entries(trace),
         "limit_route": _matrix_to_doc_entry("limit", result),
         "lattice_route": _matrix_to_doc_entry("lattice", reference),
         "route_deviation": deviation,
@@ -280,7 +277,7 @@ def _no_convergence_report(args, exc: errors.NoConvergenceError, start: float) -
             "type": "NoConvergence",
             "message": str(exc),
             "residual": exc.residual,
-            "residual_trace": _trace_entries(exc.trace, exc.extrapolant_trace),
+            "residual_trace": _trace_entries(exc.trace),
         },
         "timing": {"wall_time_s": time.perf_counter() - start},
     }
@@ -337,10 +334,15 @@ def _default_seed() -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-cluster", type=float, default=1e-8, help="relative eigenvalue clustering width")
-    parser.add_argument("--tol-psd", type=float, default=1e-9, help="PSD slack base rate")
-    parser.add_argument("--tol-conv", type=float, default=1e-8, help="iteration stopping threshold")
-    parser.add_argument("--max-doublings", type=int, default=48, help="cap on exponent doublings")
+    tol = DEFAULT_TOL
+    parser.add_argument(
+        "--tol-cluster", type=float, default=tol.cluster_tol, help="relative eigenvalue clustering width"
+    )
+    parser.add_argument("--tol-psd", type=float, default=tol.psd_tol, help="PSD slack base rate")
+    parser.add_argument("--tol-conv", type=float, default=tol.conv_tol, help="iteration stopping threshold")
+    parser.add_argument(
+        "--max-doublings", type=int, default=tol.max_power_doublings, help="cap on exponent doublings"
+    )
     parser.add_argument(
         "--seed",
         type=int,

@@ -126,17 +126,15 @@ class NoConvergenceError(NumericalError):
     """An iteration hit its cap before meeting the stopping criterion.
 
     Carries the last iterate and residual so callers can still compare it
-    against the lattice-route answer; the power-mean runner adds the
-    extrapolant residual of each trace entry. Exit code 4.
+    against the lattice-route answer. The power-mean runner also attaches
+    its trace, the (n, residual, extrapolant residual) records of
+    :func:`spectralorder.limits.run_schedule`. Exit code 4.
     """
 
     exit_code = 4
 
-    def __init__(
-        self, message, last_iterate=None, residual=None, trace=None, extrapolant_trace=None
-    ):
+    def __init__(self, message, last_iterate=None, residual=None, trace=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
         self.trace = trace if trace is not None else []
-        self.extrapolant_trace = extrapolant_trace if extrapolant_trace is not None else []

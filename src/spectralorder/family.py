@@ -84,14 +84,6 @@ class Projection:
         return int(round(float(np.real(np.trace(self.entries)))))
 
     @classmethod
-    def zero(cls, dim: int) -> "Projection":
-        return cls(HermitianMatrix(np.zeros((dim, dim), dtype=np.complex128)))
-
-    @classmethod
-    def identity(cls, dim: int) -> "Projection":
-        return cls(HermitianMatrix(np.eye(dim, dtype=np.complex128)))
-
-    @classmethod
     def onto(cls, columns: np.ndarray, dim: int) -> "Projection":
         """Projection onto the span of (orthonormal) columns; zero for none."""
         cols = np.asarray(columns, dtype=np.complex128).reshape(dim, -1)

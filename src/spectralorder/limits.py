@@ -228,7 +228,7 @@ def _check_shift(delta: float, norm: float) -> None:
 
 def run_schedule(
     iterates: Iterator[tuple[int, HermitianMatrix]], what: str
-) -> tuple[HermitianMatrix, list[tuple[int, float]]]:
+) -> tuple[HermitianMatrix, list[tuple[int, float, float | None]]]:
     """Run iterates until the extrapolated stopping rule holds.
 
     The error of A_n is about c/n plus exponentially small terms, and the
@@ -236,32 +236,23 @@ def run_schedule(
     the first n with ||E_n - E_{n/2}|| < _STOP_TOL (u + ||E_n||), where
     u = :func:`_unit` of ||A_1|| keeps the rule relative below unit scale.
 
-    Returns the limit E_n and the residual trace [(n, ||A_n - A_prev||),
-    ...] of the plain iterates.
+    Returns the limit E_n and the trace, one record
+    (n, ||A_n - A_{n/2}||, ||E_n - E_{n/2}||) per exponent from n = 2 on;
+    the extrapolant residual is None in the first record, where E_{n/2}
+    does not exist yet.
 
     Raises
     ------
     NoConvergenceError
         If the iterates run out first; the error carries the last plain
-        iterate, the residual trace and, as ``extrapolant_trace``, the
-        extrapolant residuals of :func:`_run_schedule`.
+        iterate, the last plain residual and the trace.
     """
-    limit, trace, _ = _run_schedule(iterates, what)
-    return limit, trace
-
-
-def _run_schedule(
-    iterates: Iterator[tuple[int, HermitianMatrix]], what: str
-) -> tuple[HermitianMatrix, list[tuple[int, float]], list[float | None]]:
-    """:func:`run_schedule`, also returning ||E_n - E_{n/2}|| for each trace
-    entry (None at the first, where E_{n/2} does not exist yet)."""
     prev: np.ndarray | None = None
     current: HermitianMatrix | None = None
     prev_ext: np.ndarray | None = None
     unit = 1.0
     residual = math.inf
-    trace: list[tuple[int, float]] = []
-    ext_trace: list[float | None] = []
+    trace: list[tuple[int, float, float | None]] = []
     for n, current in iterates:
         entries = current.entries
         if prev is None:
@@ -269,13 +260,12 @@ def _run_schedule(
         else:
             step = entries - prev
             residual = _norm(step)
-            trace.append((n, residual))
             ext = entries + step
             if prev_ext is None:
-                ext_trace.append(None)
+                trace.append((n, residual, None))
             else:
                 ext_residual = _norm(ext - prev_ext)
-                ext_trace.append(ext_residual)
+                trace.append((n, residual, ext_residual))
                 # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
                 # taken with the Frobenius norm (widened past its roundoff)
                 # cannot stop the run, so the exact norm is skipped. The sum
@@ -286,7 +276,7 @@ def _run_schedule(
                 if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
                     unit + _norm(ext)
                 ):
-                    return HermitianMatrix(ext), trace, ext_trace
+                    return HermitianMatrix(ext), trace
             prev_ext = ext
         prev = entries
     raise NoConvergenceError(
@@ -296,7 +286,6 @@ def _run_schedule(
         last_iterate=current,
         residual=residual,
         trace=trace,
-        extrapolant_trace=ext_trace,
     )
 
 

@@ -1,11 +1,14 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors, lattice
-from spectralorder.cli import load_document, main, matrices_to_document
+from spectralorder import cli, errors, lattice, limits
+from spectralorder.cli import build_parser, load_document, main, matrices_to_document
 
 
 FIXTURE = {
@@ -238,6 +241,18 @@ class TestLimits:
         assert code == 0
         assert rep["route_deviation"] < 1e-6
 
+    def test_trace_equals_library_records(self, fixture_path, capsys):
+        code, rep = run(
+            capsys, "limits", "--input", fixture_path, "--names", "a,p", "--formula", "kato"
+        )
+        assert code == 0
+        named = load_document(fixture_path, so.DEFAULT_TOL)
+        mats = [named["a"], named["p"]]
+        _, trace = limits.run_schedule(so.power_sup_iterates(mats, delta=0.0), "sup")
+        reported = [(t["n"], t["residual"], t["extrapolant_residual"]) for t in rep["residual_trace"]]
+        assert len(trace) >= 3
+        assert reported == trace
+
 
 class TestVerify:
     def test_order_laws(self, capsys):
@@ -393,3 +408,42 @@ class TestTextFormat:
         out = capsys.readouterr().out
         assert code == 0
         assert "loewner_leq: True" in out
+
+
+class TestLibraryBoundary:
+    MINIMAL_ARGV = {
+        "compare": ["--input", "x.json", "--names", "a,b"],
+        "lattice": ["--input", "x.json", "--mode", "sup"],
+        "limits": ["--input", "x.json", "--formula", "kato"],
+        "verify": [so.SUITE_IDS[0]],
+        "gen": ["--kind", "generic", "--dim", "2"],
+    }
+
+    FLAG_FIELDS = {
+        "tol_cluster": "cluster_tol",
+        "tol_psd": "psd_tol",
+        "tol_conv": "conv_tol",
+        "max_doublings": "max_power_doublings",
+    }
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_tolerance_defaults_come_from_library(self, command):
+        args = vars(build_parser().parse_args([command, *self.MINIMAL_ARGV[command]]))
+        parsed = {field: args[flag] for flag, field in self.FLAG_FIELDS.items()}
+        assert parsed == dataclasses.asdict(so.DEFAULT_TOL)
+
+    def test_every_subcommand_has_minimal_argv(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == set(self.MINIMAL_ARGV)
+
+    def test_imports_only_public_library_names(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("spectralorder"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []

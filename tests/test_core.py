@@ -113,7 +113,7 @@ class TestEigenFailure:
 
     def test_proj_meet(self):
         # The validation's eigendecomposition also yields the kernel bases.
-        p = so.Projection.identity(2)
+        p = so.Projection(so.identity(2))
         with pytest.raises(errors.EigenFailureError):
             so.proj_meet([p, p])
 
@@ -153,7 +153,7 @@ class TestSvdFailure:
             lambda: so.spectral_leq(h([[1, 0], [0, 0]]), h([[1.5, 0.5], [0.5, 0.5]])),
             lambda: so.proj_leq(so.Projection(h([[1, 0], [0, 0]])), so.Projection(h([[0.5, 0.5], [0.5, 0.5]]))),
             lambda: so.orthogonal_sup([h([[1, 0], [0, 0]]), h([[0, 0], [0, 2]])]),
-            lambda: so.alternating_meet_oracle(so.Projection.identity(2), so.Projection.identity(2)),
+            lambda: so.alternating_meet_oracle(so.Projection(so.identity(2)), so.Projection(so.identity(2))),
             lambda: so.commuting_oracle([h([[1, 0], [0, 2]]), h([[3, 0], [0, 4]])], "sup"),
             lambda: so.proj_meet([so.Projection(h([[1, 0], [0, 0]])), so.Projection(h([[0.5, 0.5], [0.5, 0.5]]))]),
             lambda: so.proj_join([so.Projection(h([[1, 0], [0, 0]])), so.Projection(h([[0.5, 0.5], [0.5, 0.5]]))]),

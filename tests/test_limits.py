@@ -174,14 +174,14 @@ class TestExtrapolatedStop:
     def test_singleton_returns_its_input(self):
         m = gen(3, kind="generic")[0]
         limit, trace = limits.run_schedule(so.power_sup_iterates([m]), "sup")
-        assert [n for n, _ in trace] == [2, 4]
+        assert [n for n, _, _ in trace] == [2, 4]
         assert so.operator_norm(limit - m) < 1e-11 * (1.0 + so.operator_norm(m))
 
     def test_no_convergence_carries_extrapolant_residuals(self):
         with pytest.raises(errors.NoConvergenceError) as exc:
             so.shifted_power_sup(gen(3, count=2), tol=so.Tolerances(max_power_doublings=3))
-        ext = exc.value.extrapolant_trace
-        assert ext[0] is None and len(ext) == len(exc.value.trace) == 3
+        ext = [e for _, _, e in exc.value.trace]
+        assert ext[0] is None and len(ext) == 3
         assert all(e > 0.0 for e in ext[1:])
 
 
@@ -317,7 +317,7 @@ class TestShiftedPowerSup:
         with pytest.raises(errors.NoConvergenceError) as exc:
             so.shifted_power_sup(gen(3, count=2), tol=so.Tolerances(max_power_doublings=3))
         assert isinstance(exc.value.last_iterate, so.HermitianMatrix)
-        assert [n for n, _ in exc.value.trace] == [2, 4, 8]
+        assert [n for n, _, _ in exc.value.trace] == [2, 4, 8]
 
     def test_rejects_delta_above_floor(self):
         with pytest.raises(errors.DeltaTooLargeError):

@@ -27,10 +27,10 @@ def seeded_pair(seed, dim=4):
 
 class TestProjLeq:
     def test_zero_below_everything(self):
-        assert so.proj_leq(so.Projection.zero(2), P_DIAGLINE)
+        assert so.proj_leq(so.Projection(so.zero(2)), P_DIAGLINE)
 
     def test_below_identity(self):
-        assert so.proj_leq(P_E1, so.Projection.identity(2))
+        assert so.proj_leq(P_E1, so.Projection(so.identity(2)))
 
     def test_distinct_lines_incomparable(self):
         assert not so.proj_leq(P_E1, P_DIAGLINE)
@@ -54,7 +54,7 @@ class TestProjLeq:
 
     def test_dim_mismatch(self):
         with pytest.raises(errors.DimMismatchError):
-            so.proj_leq(so.Projection.identity(2), so.Projection.identity(3))
+            so.proj_leq(so.Projection(so.identity(2)), so.Projection(so.identity(3)))
 
 
 class TestMeetJoin:
@@ -72,7 +72,7 @@ class TestMeetJoin:
         assert np.allclose(so.proj_meet([a, b]).entries, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
     def test_join_with_zero(self):
-        out = so.proj_join([P_DIAGLINE, so.Projection.zero(2)])
+        out = so.proj_join([P_DIAGLINE, so.Projection(so.zero(2))])
         assert np.allclose(out.entries, P_DIAGLINE.entries, atol=1e-12)
 
     def test_distinct_lines_join_spans(self):
