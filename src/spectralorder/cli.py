@@ -27,6 +27,7 @@ and every failure ends in one ``error:`` line instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -406,9 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import. Parsing leaves
+    it unchanged: each call gets a fresh namespace, and the seed default is
+    read from the environment per call, in :func:`main`."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed is None:
             args.seed = _default_seed()

@@ -299,17 +299,10 @@ def functional_calculus(h: HermitianMatrix, f: Callable[[float], float]) -> Herm
     ``f`` is called once per eigenvalue (no vectorization requirement); the
     result is U diag(f(lambda_i)) U*, exact on the spectrum.
     """
-    return _apply_to_system(eigensystem(h), f)[0]
-
-
-def _apply_to_system(
-    es: EigenSystem, f: Callable[[float], float]
-) -> tuple[HermitianMatrix, float]:
-    """:func:`functional_calculus` on an eigendecomposition already computed,
-    with the result's operator norm max|f(lambda_i)| read off its spectrum."""
+    es = eigensystem(h)
     vals = np.array([float(f(float(v))) for v in es.eigenvalues])
     u = es.eigenvectors
-    return HermitianMatrix((u * vals) @ u.conj().T), float(np.max(np.abs(vals)))
+    return HermitianMatrix((u * vals) @ u.conj().T)
 
 
 def positive_part(h: HermitianMatrix) -> HermitianMatrix:

@@ -20,7 +20,6 @@ from .core import (
     HermitianMatrix,
     Tolerances,
     EigenSystem,
-    _apply_to_system,
     _check_set,
     _eigh,
     _eigvalsh,
@@ -37,6 +36,7 @@ from .errors import (
     InternalLatticeError,
     InvalidParameterError,
     InvalidSpecError,
+    NonFiniteError,
     NotCommutingError,
     NotMonotoneError,
     NotPositiveError,
@@ -218,30 +218,73 @@ class ProbeVerdict:
         return "refuted" if self.refuted else "consistent"
 
 
-def _probe_functions(
-    ex: EigenSystem, ey: EigenSystem, probes: int, seed: int
-) -> list[tuple[str, Callable[[float], float]]]:
+Map = Callable[[np.ndarray], np.ndarray]
+
+
+def _powers(bases: list[float], n: int) -> np.ndarray:
+    """b**n for each base by Python's scalar power, which numpy's array power can
+    differ from in the last bit; all inf on overflow, reported as non-finite."""
+    try:
+        return np.array([b**n for b in bases])
+    except OverflowError:
+        return np.full(len(bases), np.inf)
+
+
+def _probe_functions(ex: EigenSystem, ey: EigenSystem, probes: int, seed: int) -> list[tuple[str, Map]]:
     vals = np.sort(np.concatenate([ex.eigenvalues, ey.eigenvalues]))
     lo, hi = float(vals[0]), float(vals[-1])
     mid = 0.5 * (lo + hi)
-    fns: list[tuple[str, Callable[[float], float]]] = [("identity", lambda s: s)]
+    fns: list[tuple[str, Map]] = [("identity", lambda s: s)]
     knots = list(vals) + [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
     for t in knots:
         t = float(t)
-        fns.append((f"hinge(t={t:.6g})", lambda s, t=t: max(s - t, 0.0)))
+        fns.append((f"hinge(t={t:.6g})", lambda s, t=t: np.maximum(s - t, 0.0)))
     for k in (3, 5):
-        fns.append((f"odd_power(k={k})", lambda s, k=k: (s - mid) ** k))
+        fns.append((f"odd_power(k={k})", lambda s, k=k: _powers([v - mid for v in s.tolist()], k)))
     rng = np.random.default_rng(seed)
     while len(fns) < probes:
         a = float(rng.uniform(0.1, 1.0))
         ts = rng.uniform(lo, hi, size=3)
         cs = rng.uniform(0.1, 1.0, size=3)
 
-        def piecewise(s: float, a=a, ts=ts, cs=cs) -> float:
-            return a * s + float(np.sum(cs * np.maximum(s - ts, 0.0)))
+        def piecewise(s: np.ndarray, a=a, ts=ts, cs=cs) -> np.ndarray:
+            return a * s + np.sum(cs * np.maximum(s[:, None] - ts, 0.0), axis=1)
 
         fns.append((f"piecewise_linear(seed draw {len(fns)})", piecewise))
     return fns[:probes]
+
+
+def _first_violation(
+    ex: EigenSystem, ey: EigenSystem, maps: Sequence[tuple[str, Map]], tol: Tolerances
+) -> int | None:
+    """Index of the first map f for which f(x) <= f(y) fails in the Loewner
+    order, or None, from decompositions of x and y in one stacked eigvalsh.
+    Each f(x) is formed and symmetrized as HermitianMatrix would form it; the
+    slack's norms are max|f(lambda)| over the mapped spectra, and its unit is
+    that of x and y, since the rounding in f(x) follows their scale. Raises
+    NonFiniteError at the first f(x) or f(y) with non-finite entries, unless
+    an earlier map fails.
+    """
+    unit = _unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
+    fx_vals = np.array([f(ex.eigenvalues) for _, f in maps])
+    fy_vals = np.array([f(ey.eigenvalues) for _, f in maps])
+    stacked = []
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are caught below
+        for es, vals in ((ex, fx_vals), (ey, fy_vals)):
+            u = es.eigenvectors
+            a = (u * vals[:, None, :]) @ u.conj().T
+            stacked.append(0.5 * a + 0.5 * a.conj().swapaxes(1, 2))
+    fx, fy = stacked
+    finite = np.isfinite(fx).all(axis=(1, 2)) & np.isfinite(fy).all(axis=(1, 2))
+    count = len(maps) if finite.all() else int(np.argmin(finite))
+    lam_min = _eigvalsh(fy[:count] - fx[:count])[:, 0]
+    slack = _psd_slack(np.abs(fx_vals[:count]).max(axis=1), np.abs(fy_vals[:count]).max(axis=1), tol, unit)
+    failed = np.flatnonzero(~(lam_min >= -slack))
+    if failed.size:
+        return int(failed[0])
+    if count < len(maps):
+        raise NonFiniteError(f"probe {maps[count][0]} maps an operand to non-finite entries")
+    return None
 
 
 def monotone_probe(
@@ -258,31 +301,20 @@ def monotone_probe(
     argument, seeded piecewise-linear maps) and checks f(x) <= f(y) in the
     Loewner order for each. A violation soundly refutes x preceding y;
     "consistent" proves nothing, since the family is finite. Each operand
-    is eigendecomposed once, here, and every f is applied to that
-    decomposition at one eigvalsh per f; nothing is shared with
-    :func:`spectral_leq`, so the probe stays an independent check of it.
+    is eigendecomposed once, here, and all the f(y) - f(x) go through one
+    stacked eigvalsh; the witness is the first f, in family order, that
+    fails. Nothing is shared with :func:`spectral_leq`, so the probe stays
+    an independent check of it.
     """
     x._require_same_dim(y)
     if probes < 1:
         raise InvalidParameterError(f"probe count must be at least 1, got {probes}")
     ex, ey = eigensystem(x), eigensystem(y)
-    unit = _unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
     fns = _probe_functions(ex, ey, probes, seed)
-    for name, f in fns:
-        if not _mapped_leq(ex, ey, f, unit, tol):
-            return ProbeVerdict(refuted=True, witness=name, probes_run=len(fns))
-    return ProbeVerdict(refuted=False, probes_run=len(fns))
-
-
-def _mapped_leq(
-    ex: EigenSystem, ey: EigenSystem, f: Callable[[float], float], unit: float, tol: Tolerances
-) -> bool:
-    """loewner_leq(f(x), f(y)) from decompositions of x and y, in one eigvalsh:
-    the slack's norms are max|f(lambda)| over the spectra already held; its
-    unit is that of x and y, since the rounding in f(x) follows their scale."""
-    fx, norm_fx = _apply_to_system(ex, f)
-    fy, norm_fy = _apply_to_system(ey, f)
-    return float(_eigvalsh(fy.entries - fx.entries)[0]) >= -_psd_slack(norm_fx, norm_fy, tol, unit)
+    first = _first_violation(ex, ey, fns, tol)
+    if first is None:
+        return ProbeVerdict(refuted=False, probes_run=len(fns))
+    return ProbeVerdict(refuted=True, witness=fns[first][0], probes_run=len(fns))
 
 
 def power_order_probe(
@@ -294,19 +326,25 @@ def power_order_probe(
     """Check x^n <= y^n (Loewner) for n = 1..max_power on PSD operands.
 
     Monomials are increasing on the positive half-line, so a violation
-    soundly refutes the spectral-order comparison.
+    soundly refutes the spectral-order comparison. All powers go through
+    one stacked eigvalsh; the witness is the least failing n.
     """
     x._require_same_dim(y)
+    if max_power < 1:
+        raise InvalidParameterError(f"max_power must be at least 1, got {max_power}")
     ex, ey = eigensystem(x), eigensystem(y)
-    unit = _unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
     for name, es in (("x", ex), ("y", ey)):
         norm = float(np.max(np.abs(es.eigenvalues)))
         if float(es.eigenvalues[0]) < -_psd_slack(norm, norm, tol):
             raise NotPositiveError(f"{name} is not positive semidefinite")
-    for n in range(1, max_power + 1):
-        if not _mapped_leq(ex, ey, lambda s, n=n: max(s, 0.0) ** n, unit, tol):
-            return ProbeVerdict(refuted=True, witness=f"power n={n}", probes_run=n)
-    return ProbeVerdict(refuted=False, probes_run=max_power)
+    powers = [
+        (f"power n={n}", lambda s, n=n: _powers([max(v, 0.0) for v in s.tolist()], n))
+        for n in range(1, max_power + 1)
+    ]
+    first = _first_violation(ex, ey, powers, tol)
+    if first is None:
+        return ProbeVerdict(refuted=False, probes_run=max_power)
+    return ProbeVerdict(refuted=True, witness=powers[first][0], probes_run=first + 1)
 
 
 def _refine_blocks(

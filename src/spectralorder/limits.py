@@ -177,6 +177,14 @@ def _graded_root_pairs(
         stop = int(depth[active].max()) + 1
         va = v[start:stop, active]
         s = (va * np.exp(w[active] - top)) @ va.conj().T
+        if stop == start + 1:
+            # a one-row window is its own eigenpair: value s[0, 0], vector 1,
+            # so the rotation and the depth update below would change nothing
+            logs[start] = (np.log(s[0, 0].real) + top) * inv_exponent
+            err += eps * norms
+            start += 1
+            norms = np.linalg.norm(v[start:], axis=0)
+            continue
         g, u = _eigh((s + s.conj().T) / 2.0)
         kept = int(np.count_nonzero(g >= _KEEP_RATIO * g[-1]))
         u = u[:, ::-1]  # kept eigenvectors first: they become the emitted rows

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +287,51 @@ class TestVerify:
         )
         rep_env.pop("timing"), rep_flag.pop("timing")
         assert rep_env == rep_flag
+
+
+class TestParserReuse:
+    """main parses with one parser per process, built on the first call."""
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import spectralorder.cli as cli\n"
+            "assert built == [], 'importing the CLI built a parser'\n"
+            "cli.build_parser()\n"
+            "assert built, 'no parser was counted'\n"
+        )
+        src = str(Path(so.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_flag_seed_does_not_stick(self, capsys, monkeypatch):
+        argv = ["verify", "order_laws", "--dim", "2", "--cases", "1"]
+        assert run(capsys, *argv, "--seed", "5")[1]["seed"] == 5
+        monkeypatch.setenv("SPECTRAL_LATTICE_SEED", "9")
+        assert run(capsys, *argv)[1]["seed"] == 9
+
+    def test_usage_error_leaves_parser_unchanged(self, fixture_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        argv = ["compare", "--input", fixture_path, "--names", "x,y", "--seed", "4"]
+
+        def stable():
+            code, rep = run(capsys, *argv)
+            rep.pop("timing")
+            return code, json.dumps(rep, sort_keys=True)
+
+        first = stable()
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--input", fixture_path, "--probes", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert stable() == first
+        assert built == [1]
 
 
 class TestGen:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors
+from spectralorder import core, errors
 
 
 def h(rows):
@@ -126,17 +126,117 @@ class TestMonotoneProbe:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        # one stacked eigvalsh per probe call, over all of its functions
         verdict = so.monotone_probe(x, u, probes=24)
-        assert not verdict.refuted and len(calls) == verdict.probes_run == 24
+        assert not verdict.refuted and verdict.probes_run == 24
+        assert calls == [(24, 8, 8)]
         calls.clear()
         assert not so.power_order_probe(p, p + so.identity(8), max_power=4).refuted
-        assert len(calls) == 4
+        assert calls == [(4, 8, 8)]
 
     @pytest.mark.parametrize("probes", [0, -20])
     def test_rejects_non_positive_probe_count(self, probes):
         m = gen(2)[0]
         with pytest.raises(errors.InvalidParameterError):
             so.monotone_probe(m, m, probes=probes)
+
+
+def _reference_functions(ex, ey, probes, seed):
+    """The probe family as scalar maps, evaluated one eigenvalue at a time."""
+    vals = np.sort(np.concatenate([ex.eigenvalues, ey.eigenvalues]))
+    lo, hi = float(vals[0]), float(vals[-1])
+    mid = 0.5 * (lo + hi)
+    fns = [("identity", lambda s: s)]
+    knots = list(vals) + [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
+    for t in knots:
+        t = float(t)
+        fns.append((f"hinge(t={t:.6g})", lambda s, t=t: max(s - t, 0.0)))
+    for k in (3, 5):
+        fns.append((f"odd_power(k={k})", lambda s, k=k: (s - mid) ** k))
+    rng = np.random.default_rng(seed)
+    while len(fns) < probes:
+        a = float(rng.uniform(0.1, 1.0))
+        ts = rng.uniform(lo, hi, size=3)
+        cs = rng.uniform(0.1, 1.0, size=3)
+        fns.append(
+            (
+                f"piecewise_linear(seed draw {len(fns)})",
+                lambda s, a=a, ts=ts, cs=cs: a * s + float(np.sum(cs * np.maximum(s - ts, 0.0))),
+            )
+        )
+    return fns[:probes]
+
+
+def _reference_leq(ex, ey, f, unit, tol):
+    """f(x) <= f(y) for one scalar map, through HermitianMatrix and one eigvalsh."""
+    mapped = []
+    for es in (ex, ey):
+        vals = np.array([float(f(float(v))) for v in es.eigenvalues])
+        u = es.eigenvectors
+        mapped.append((so.HermitianMatrix((u * vals) @ u.conj().T), float(np.max(np.abs(vals)))))
+    (fx, norm_fx), (fy, norm_fy) = mapped
+    lam_min = float(np.linalg.eigvalsh(fy.entries - fx.entries)[0])
+    return lam_min >= -tol.psd_tol * (unit + norm_fx + norm_fy)
+
+
+def _reference_verdicts(x, y, seed, tol=so.DEFAULT_TOL):
+    """Both probes run one function at a time, in order, stopping at the first failure."""
+    ex, ey = so.eigensystem(x), so.eigensystem(y)
+    unit = core._unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
+    fns = _reference_functions(ex, ey, 24, seed)
+    mono = so.ProbeVerdict(refuted=False, probes_run=24)
+    for name, f in fns:
+        if not _reference_leq(ex, ey, f, unit, tol):
+            mono = so.ProbeVerdict(refuted=True, witness=name, probes_run=24)
+            break
+    power = so.ProbeVerdict(refuted=False, probes_run=4)
+    for n in range(1, 5):
+        if not _reference_leq(ex, ey, lambda s, n=n: max(s, 0.0) ** n, unit, tol):
+            power = so.ProbeVerdict(refuted=True, witness=f"power n={n}", probes_run=n)
+            break
+    return mono, power
+
+
+def _probe_pairs(dim, seed, kind):
+    """Ordered, reversed, unrelated, Loewner-only and shifted pairs."""
+    x, r = gen(seed, dim=dim, kind=kind, count=2)
+    up = so.spectral_sup([x, r])
+    half = 0.5 * so.identity(dim)
+    pairs = [(x, up), (up, x), (x, r), (x, x + 0.1 * r), (x, x + half), (x + half, x)]
+    if kind == "generic":
+        pairs.append((x, x - half))
+    return pairs
+
+
+class TestBatchedProbeMatchesLoop:
+    """The stacked probes give the verdicts of testing one function at a time."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    @pytest.mark.parametrize("kind", ["generic", "positive_definite"])
+    def test_same_verdicts(self, dim, scale, kind):
+        seed = 100 * dim + (kind != "generic")
+        for i, (x, y) in enumerate(_probe_pairs(dim, seed, kind)):
+            x, y = scale * x, scale * y
+            mono, power = _reference_verdicts(x, y, seed + i)
+            assert so.monotone_probe(x, y, probes=24, seed=seed + i) == mono
+            if kind != "generic":
+                assert so.power_order_probe(x, y, max_power=4) == power
+
+    def test_huge_scale_refutes_before_power_overflow(self):
+        x, y = gen(1, dim=4, count=2)
+        verdict = so.monotone_probe(1e100 * x, 1e100 * y)
+        assert verdict.refuted and verdict.witness == "identity"
+        p, q = gen(1, dim=4, kind="positive", count=2)
+        assert so.power_order_probe(1e100 * p, 1e100 * q).witness == "power n=1"
+
+    def test_power_overflow_is_a_typed_error(self):
+        x = 1e100 * gen(2, dim=3)[0]
+        with pytest.raises(errors.NonFiniteError, match="odd_power"):
+            so.monotone_probe(x, x)
+        p = 1e100 * gen(2, dim=3, kind="positive")[0]
+        with pytest.raises(errors.NonFiniteError, match="power n=4"):
+            so.power_order_probe(p, p)
 
 
 class TestPowerOrderProbe:
@@ -158,6 +258,11 @@ class TestPowerOrderProbe:
     def test_rejects_non_positive(self):
         with pytest.raises(errors.NotPositiveError):
             so.power_order_probe(h(np.diag([-1.0, 1.0])), so.identity(2), 2)
+
+    @pytest.mark.parametrize("max_power", [0, -3])
+    def test_rejects_non_positive_max_power(self, max_power):
+        with pytest.raises(errors.InvalidParameterError):
+            so.power_order_probe(so.identity(2), so.identity(2), max_power)
 
 
 class TestCommutingOracle:

@@ -133,7 +133,8 @@ class TestCostModel:
     @pytest.mark.parametrize("delta", [0.0, None])
     def test_windows_take_only_the_leading_rows(self, monkeypatch, delta):
         # factors sorted by weight leave a few rows per window in R; dense
-        # factors would give a 32 x 32 window at every iterate
+        # factors would give a 32 x 32 window at every iterate. A one-row
+        # window is its own eigenpair and never reaches the eigensolver.
         sizes = []
         eigh = limits._eigh
 
@@ -147,7 +148,7 @@ class TestCostModel:
         for n, _ in so.power_sup_iterates(mats, delta=delta, tol=tol):
             if n < 2**20:
                 sizes.clear()
-        assert sizes and max(sizes) <= 4
+        assert sizes and 2 <= min(sizes) and max(sizes) <= 4
 
 
 class TestExtrapolatedStop:
