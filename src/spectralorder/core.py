@@ -19,6 +19,7 @@ from .errors import (
     DimMismatchError,
     EigenFailureError,
     EmptySetError,
+    FloatRangeError,
     InvalidParameterError,
     NonFiniteError,
     NonSquareError,
@@ -218,9 +219,16 @@ def _eigh(a: np.ndarray):
         raise EigenFailureError(f"eigendecomposition did not converge: {exc}") from exc
 
 
+def _finite_spectrum(w: np.ndarray) -> np.ndarray:
+    """``w``, eigenvalues of finite entries, unless one overflowed the float range."""
+    if not np.isfinite(w).all():
+        raise FloatRangeError("an eigenvalue exceeds the float range")
+    return w
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.eigvalsh(a)
+        return _finite_spectrum(np.linalg.eigvalsh(a))
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigenvalue computation did not converge: {exc}") from exc
 
@@ -240,8 +248,11 @@ def eigensystem(h: HermitianMatrix) -> EigenSystem:
     EigenFailureError
         If the backend does not converge. The failure is propagated, never
         silently replaced by zeros.
+    FloatRangeError
+        If an eigenvalue exceeds the float range.
     """
     w, u = _eigh(h.entries)
+    _finite_spectrum(w)
     w.setflags(write=False)
     u.setflags(write=False)
     return EigenSystem(eigenvalues=w, eigenvectors=u)
@@ -276,11 +287,11 @@ def _cluster_width(tol: Tolerances, *spectra: np.ndarray) -> float:
     return tol.cluster_tol * _scale(max(abs(w[i]) for w in spectra for i in (0, -1)))
 
 
-def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances, unit: float | None = None) -> float:
-    """psd_tol * (u + ||x|| + ||y||) from norms the caller holds; u is :func:`_unit`
-    of the larger norm unless given (a probe of f(x) <= f(y) takes u from x and y)."""
-    unit = _unit(max(norm_x, norm_y)) if unit is None else unit
-    return tol.psd_tol * (unit + norm_x + norm_y)
+def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances) -> float:
+    """psd_tol * (u + ||x|| + ||y||) from norms the caller holds, u the :func:`_unit`
+    of the larger norm; summed in halves, so the sum stays finite near the float max."""
+    half = 0.5 * _unit(max(norm_x, norm_y)) + 0.5 * norm_x + 0.5 * norm_y
+    return 2.0 * (tol.psd_tol * half)
 
 
 def loewner_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -289,7 +300,7 @@ def loewner_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAUL
     True iff lambda_min(y - x) >= -psd_tol * (u + ||x|| + ||y||).
     """
     x._require_same_dim(y)
-    lam_min = float(_eigvalsh(y.entries - x.entries)[0])
+    lam_min = 2.0 * float(_eigvalsh(0.5 * y.entries - 0.5 * x.entries)[0])  # halves cannot overflow
     return lam_min >= -_psd_slack(operator_norm(x), operator_norm(y), tol)
 
 

@@ -122,6 +122,11 @@ class InternalLatticeError(NumericalError):
     """
 
 
+class FloatRangeError(NumericalError):
+    """Finite inputs so near the float maximum that a route's intermediate
+    values would overflow; the route refuses them instead of answering."""
+
+
 class NoConvergenceError(NumericalError):
     """An iteration hit its cap before meeting the stopping criterion.
 

@@ -45,6 +45,7 @@ from .core import (
     Tolerances,
     _cluster_width,
     _eigvalsh,
+    _scale,
     _svd,
     eigensystem,
 )
@@ -113,9 +114,11 @@ def range_defect(p: Projection, q: Projection) -> float:
 def _clusters(vals: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     """Representatives (means) and end indices of the runs of ascending,
     nonempty ``vals`` whose consecutive gaps are at most ``width``."""
-    ends = np.append(np.flatnonzero(np.diff(vals) > width) + 1, vals.size)
-    starts = np.concatenate(([0], ends[:-1]))
-    return np.add.reduceat(vals, starts) / np.diff(ends, prepend=0), ends
+    s = _scale(max(-vals[0], vals[-1]))  # of the largest |value|: over s no gap or sum overflows
+    unit = vals / s
+    cut = np.flatnonzero(unit[1:] - unit[:-1] > width / s) + 1
+    starts, ends = np.concatenate(([0], cut)), np.concatenate((cut, [vals.size]))
+    return np.add.reduceat(unit, starts) / (ends - starts) * s, ends
 
 
 def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
@@ -158,7 +161,7 @@ class SpectralFamily:
             raise InvalidFamilyError("ranks must be integers, one per breakpoint")
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise InvalidFamilyError(f"vectors must be a square matrix, got shape {vectors.shape}")
-        if not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise InvalidFamilyError("breakpoints must be strictly ascending")
         if ranks[0] < 1 or ranks[-1] > self.dim or not np.all(np.diff(ranks) > 0):
             raise InvalidFamilyError("ranks must rise strictly from at least 1 to at most the dimension")
@@ -273,7 +276,8 @@ def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEF
     x._require_same_dim(y)
     vals = np.sort(np.concatenate([_eigvalsh(x.entries), _eigvalsh(y.entries)]))
     width = _cluster_width(tol, vals)
-    gaps = np.diff(vals)
     ends = _clusters(vals, width)[1]
-    widths = vals[ends - 1] - vals[ends - np.diff(ends, prepend=0)]
-    return bool(np.any((gaps > width) & (gaps < 10.0 * width)) or np.any(widths > 10.0 * width))
+    half = 0.5 * vals  # halved, no gap overflows
+    gaps = np.diff(half)
+    widths = half[ends - 1] - half[ends - np.diff(ends, prepend=0)]
+    return bool(np.any((gaps > 0.5 * width) & (gaps < 5.0 * width)) or np.any(widths > 5.0 * width))

@@ -36,13 +36,12 @@ from .errors import (
     InternalLatticeError,
     InvalidParameterError,
     InvalidSpecError,
-    NonFiniteError,
     NotCommutingError,
     NotMonotoneError,
     NotPositiveError,
     UnknownSuiteError,
 )
-from .family import Projection, spectral_leq
+from .family import Projection, _clusters, spectral_leq
 from .lattice import (
     OPERATOR_CLASSES,
     affine_image,
@@ -221,16 +220,17 @@ class ProbeVerdict:
 Map = Callable[[np.ndarray], np.ndarray]
 
 
-def _powers(bases: list[float], n: int) -> np.ndarray:
-    """b**n for each base by Python's scalar power, which numpy's array power can
-    differ from in the last bit; all inf on overflow, reported as non-finite."""
-    try:
-        return np.array([b**n for b in bases])
-    except OverflowError:
-        return np.full(len(bases), np.inf)
+def _at_unit_scale(ex: EigenSystem, ey: EigenSystem) -> tuple[EigenSystem, EigenSystem, float]:
+    """x / s and y / s from decompositions of x and y, s the :func:`_scale` of their
+    largest |eigenvalue|: exact, and every |eigenvalue / s| is at most 2."""
+    s = _scale(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
+    ux, uy = (EigenSystem(es.eigenvalues / s, es.eigenvectors) for es in (ex, ey))
+    return ux, uy, s
 
 
-def _probe_functions(ex: EigenSystem, ey: EigenSystem, probes: int, seed: int) -> list[tuple[str, Map]]:
+def _probe_functions(
+    ex: EigenSystem, ey: EigenSystem, scale: float, probes: int, seed: int
+) -> list[tuple[str, Map]]:
     vals = np.sort(np.concatenate([ex.eigenvalues, ey.eigenvalues]))
     lo, hi = float(vals[0]), float(vals[-1])
     mid = 0.5 * (lo + hi)
@@ -238,9 +238,10 @@ def _probe_functions(ex: EigenSystem, ey: EigenSystem, probes: int, seed: int) -
     knots = list(vals) + [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
     for t in knots:
         t = float(t)
-        fns.append((f"hinge(t={t:.6g})", lambda s, t=t: np.maximum(s - t, 0.0)))
+        fns.append((f"hinge(t={t * scale:.6g})", lambda s, t=t: np.maximum(s - t, 0.0)))
     for k in (3, 5):
-        fns.append((f"odd_power(k={k})", lambda s, k=k: _powers([v - mid for v in s.tolist()], k)))
+        # Python's scalar power, which numpy's array power can differ from in the last bit
+        fns.append((f"odd_power(k={k})", lambda s, k=k: np.array([(v - mid) ** k for v in s.tolist()])))
     rng = np.random.default_rng(seed)
     while len(fns) < probes:
         a = float(rng.uniform(0.1, 1.0))
@@ -258,33 +259,23 @@ def _first_violation(
     ex: EigenSystem, ey: EigenSystem, maps: Sequence[tuple[str, Map]], tol: Tolerances
 ) -> int | None:
     """Index of the first map f for which f(x) <= f(y) fails in the Loewner
-    order, or None, from decompositions of x and y in one stacked eigvalsh.
-    Each f(x) is formed and symmetrized as HermitianMatrix would form it; the
-    slack's norms are max|f(lambda)| over the mapped spectra, and its unit is
-    that of x and y, since the rounding in f(x) follows their scale. Raises
-    NonFiniteError at the first f(x) or f(y) with non-finite entries, unless
-    an earlier map fails.
+    order, or None, from decompositions of x and y at unit scale, in one
+    stacked eigvalsh. Each f(x) is formed and symmetrized as HermitianMatrix
+    would form it, and the slack is psd_tol * (1 + max|f(x)| + max|f(y)|) over
+    the mapped spectra: the rule of :func:`loewner_leq` with u = 1.
     """
-    unit = _unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
     fx_vals = np.array([f(ex.eigenvalues) for _, f in maps])
     fy_vals = np.array([f(ey.eigenvalues) for _, f in maps])
     stacked = []
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are caught below
-        for es, vals in ((ex, fx_vals), (ey, fy_vals)):
-            u = es.eigenvectors
-            a = (u * vals[:, None, :]) @ u.conj().T
-            stacked.append(0.5 * a + 0.5 * a.conj().swapaxes(1, 2))
+    for es, vals in ((ex, fx_vals), (ey, fy_vals)):
+        u = es.eigenvectors
+        a = (u * vals[:, None, :]) @ u.conj().T
+        stacked.append(0.5 * a + 0.5 * a.conj().swapaxes(1, 2))
     fx, fy = stacked
-    finite = np.isfinite(fx).all(axis=(1, 2)) & np.isfinite(fy).all(axis=(1, 2))
-    count = len(maps) if finite.all() else int(np.argmin(finite))
-    lam_min = _eigvalsh(fy[:count] - fx[:count])[:, 0]
-    slack = _psd_slack(np.abs(fx_vals[:count]).max(axis=1), np.abs(fy_vals[:count]).max(axis=1), tol, unit)
+    lam_min = _eigvalsh(fy - fx)[:, 0]
+    slack = tol.psd_tol * (1.0 + np.abs(fx_vals).max(axis=1) + np.abs(fy_vals).max(axis=1))
     failed = np.flatnonzero(~(lam_min >= -slack))
-    if failed.size:
-        return int(failed[0])
-    if count < len(maps):
-        raise NonFiniteError(f"probe {maps[count][0]} maps an operand to non-finite entries")
-    return None
+    return int(failed[0]) if failed.size else None
 
 
 def monotone_probe(
@@ -303,14 +294,17 @@ def monotone_probe(
     "consistent" proves nothing, since the family is finite. Each operand
     is eigendecomposed once, here, and all the f(y) - f(x) go through one
     stacked eigvalsh; the witness is the first f, in family order, that
-    fails. Nothing is shared with :func:`spectral_leq`, so the probe stays
-    an independent check of it.
+    fails. The family is built on x / s and y / s, with s the power-of-two
+    scale of their largest |eigenvalue|, so no f overflows and the verdict
+    does not depend on the operands' scale; a hinge's knot is named in the
+    operands' units. Nothing is shared with :func:`spectral_leq`, so the
+    probe stays an independent check of it.
     """
     x._require_same_dim(y)
     if probes < 1:
         raise InvalidParameterError(f"probe count must be at least 1, got {probes}")
-    ex, ey = eigensystem(x), eigensystem(y)
-    fns = _probe_functions(ex, ey, probes, seed)
+    ex, ey, scale = _at_unit_scale(eigensystem(x), eigensystem(y))
+    fns = _probe_functions(ex, ey, scale, probes, seed)
     first = _first_violation(ex, ey, fns, tol)
     if first is None:
         return ProbeVerdict(refuted=False, probes_run=len(fns))
@@ -326,8 +320,9 @@ def power_order_probe(
     """Check x^n <= y^n (Loewner) for n = 1..max_power on PSD operands.
 
     Monomials are increasing on the positive half-line, so a violation
-    soundly refutes the spectral-order comparison. All powers go through
-    one stacked eigvalsh; the witness is the least failing n.
+    soundly refutes the spectral-order comparison. The powers are taken of
+    x / s and y / s, as in :func:`monotone_probe`, and all go through one
+    stacked eigvalsh; the witness is the least failing n.
     """
     x._require_same_dim(y)
     if max_power < 1:
@@ -337,8 +332,9 @@ def power_order_probe(
         norm = float(np.max(np.abs(es.eigenvalues)))
         if float(es.eigenvalues[0]) < -_psd_slack(norm, norm, tol):
             raise NotPositiveError(f"{name} is not positive semidefinite")
+    ex, ey, _ = _at_unit_scale(ex, ey)
     powers = [
-        (f"power n={n}", lambda s, n=n: _powers([max(v, 0.0) for v in s.tolist()], n))
+        (f"power n={n}", lambda s, n=n: np.array([max(v, 0.0) ** n for v in s.tolist()]))
         for n in range(1, max_power + 1)
     ]
     first = _first_violation(ex, ey, powers, tol)
@@ -354,13 +350,8 @@ def _refine_blocks(
         return cols
     compressed = cols.conj().T @ ops[0] @ cols
     w, u = _eigh((compressed + compressed.conj().T) / 2.0)
-    pieces = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > cluster:
-            pieces.append(_refine_blocks(cols @ u[:, start:i], ops[1:], cluster))
-            start = i
-    return np.concatenate(pieces, axis=1)
+    blocks = np.split(u, _clusters(w, cluster)[1][:-1], axis=1)
+    return np.concatenate([_refine_blocks(cols @ b, ops[1:], cluster) for b in blocks], axis=1)
 
 
 def commuting_oracle(

@@ -155,8 +155,9 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
         # legitimately cross a breakpoint, and midpoints where every input
         # has the lower grid point's rank, since the value there is the
         # same computation.
-        mid_ranks = ranks_at(0.5 * (grid[:-1] + grid[1:]), 0.0)
-        wide = np.diff(grid) >= 10.0 * width
+        half = 0.5 * grid  # halved, no midpoint or gap overflows
+        mid_ranks = ranks_at(half[:-1] + half[1:], 0.0)
+        wide = np.diff(half) >= 5.0 * width
         changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
         midpoints = {j + 1: mid_ranks[j] for j in np.flatnonzero(wide & changed)}
 

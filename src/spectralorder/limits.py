@@ -95,6 +95,7 @@ from .core import (
 from .errors import (
     DeltaTooLargeError,
     EigenFailureError,
+    FloatRangeError,
     NoConvergenceError,
     NotInvertibleError,
     NotOrthogonalError,
@@ -254,6 +255,9 @@ def run_schedule(
     NoConvergenceError
         If the iterates run out first; the error carries the last plain
         iterate, the last plain residual and the trace.
+    FloatRangeError
+        If an iterate, or the arithmetic on it here, overflows the float
+        range, which only inputs near the float maximum reach.
     """
     prev: np.ndarray | None = None
     current: HermitianMatrix | None = None
@@ -261,32 +265,39 @@ def run_schedule(
     unit = 1.0
     residual = math.inf
     trace: list[tuple[int, float, float | None]] = []
-    for n, current in iterates:
-        entries = current.entries
-        if prev is None:
-            unit = _unit(_norm(entries))
-        else:
-            step = entries - prev
-            residual = _norm(step)
-            ext = entries + step
-            if prev_ext is None:
-                trace.append((n, residual, None))
-            else:
-                ext_residual = _norm(ext - prev_ext)
-                trace.append((n, residual, ext_residual))
-                # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
-                # taken with the Frobenius norm (widened past its roundoff)
-                # cannot stop the run, so the exact norm is skipped. The sum
-                # of squares is taken on E_n over its power-of-two scale,
-                # which adds no rounding and cannot overflow.
-                scale = _scale(float(np.max(np.abs(ext))))
-                fro = _FRO_MARGIN * scale * float(np.linalg.norm(ext / scale))
-                if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
-                    unit + _norm(ext)
-                ):
-                    return HermitianMatrix(ext), trace
-            prev_ext = ext
-        prev = entries
+    try:
+        with np.errstate(over="raise"):  # only inputs near the float maximum overflow
+            for n, current in iterates:
+                entries = current.entries
+                if prev is None:
+                    unit = _unit(_norm(entries))
+                else:
+                    step = entries - prev
+                    residual = _norm(step)
+                    ext = entries + step
+                    if prev_ext is None:
+                        trace.append((n, residual, None))
+                    else:
+                        ext_residual = _norm(ext - prev_ext)
+                        trace.append((n, residual, ext_residual))
+                        # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
+                        # taken with the Frobenius norm (widened past its roundoff)
+                        # cannot stop the run, so the exact norm is skipped. The sum
+                        # of squares is taken on E_n over its power-of-two scale,
+                        # which adds no rounding and cannot overflow.
+                        scale = _scale(float(np.max(np.abs(ext))))
+                        fro = _FRO_MARGIN * scale * float(np.linalg.norm(ext / scale))
+                        if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
+                            unit + _norm(ext)
+                        ):
+                            return HermitianMatrix(ext), trace
+                    prev_ext = ext
+                prev = entries
+    except FloatingPointError as exc:
+        raise FloatRangeError(
+            f"{what}: an iterate or extrapolant overflows the float range ({exc}); "
+            "the inputs are too near the float maximum for this route"
+        ) from exc
     raise NoConvergenceError(
         f"{what} did not meet the stopping rule within the exponent schedule "
         f"(last residual {residual:.3e}); near-degenerate breakpoints of the "

@@ -495,3 +495,61 @@ class TestLibraryBoundary:
             if alias.name.startswith("_")
         ]
         assert private == []
+
+
+FUZZ_EXPONENTS = (-300, -150, -20, 0, 20, 60, 100, 150, 250, 300, 307.5)
+FUZZ_CALLS = (
+    ("compare", "--names", "a,b"),
+    ("compare", "--names", "a,a"),
+    ("lattice", "--mode", "sup"),
+    ("lattice", "--mode", "inf"),
+    ("limits", "--formula", "kato"),
+    ("limits", "--formula", "shifted"),
+    ("limits", "--formula", "inverse"),
+    ("limits", "--formula", "harmonic"),
+)
+
+
+def fuzz_document(seed, exponent):
+    """Two seeded Hermitian matrices, d 1-4, the second positive for even
+    seeds; entries normalized to a largest modulus of 1, then scaled by
+    10**exponent."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    mats = []
+    for _ in range(2):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = (g + g.conj().T) / 2.0
+        if seed % 2 == 0:
+            m = m @ m
+            m = 0.5 * m + 0.5 * m.conj().T
+        mats.append((m / np.abs(m).max()) * 10.0**exponent)
+    return {
+        "format_version": "1",
+        "dim": dim,
+        "matrices": [
+            {"name": name, "re": m.real.tolist(), "im": m.imag.tolist()}
+            for name, m in zip("ab", mats)
+        ],
+    }
+
+
+class TestScaleFuzz:
+    """Every command keeps the exit-code contract at every scale up to the
+    float maximum: a report or one ``error:`` line, never a traceback or a
+    RuntimeWarning, and compare and lattice always answer."""
+
+    @pytest.mark.parametrize("exponent", FUZZ_EXPONENTS)
+    def test_exit_codes(self, tmp_path, capsys, exponent):
+        for seed in range(16):
+            path = tmp_path / f"doc{seed}.json"
+            path.write_text(json.dumps(fuzz_document(seed, exponent)))
+            for call in FUZZ_CALLS:
+                argv = [*call, "--input", str(path)]
+                code = main(argv)
+                err = capsys.readouterr().err
+                where = f"seed {seed}: {' '.join(call)}"
+                assert code in (0, 2, 3, 4), where
+                assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), where
+                if call[0] != "limits":
+                    assert code == 0, where

@@ -304,6 +304,33 @@ class TestBareConstructorNonFinite:
             big * 10.0
 
 
+class TestSpectrumBeyondTheFloatRange:
+    """Finite entries whose largest eigenvalue, about 3.1e308, is not a
+    float: every route refuses with a typed error instead of answering
+    from an infinite eigenvalue."""
+
+    BIG = so.HermitianMatrix(np.array([[1.7e308, 1.7e308], [1.7e308, 1e308]]))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda m: so.monotone_probe(m, m),
+            lambda m: so.spectral_leq(m, m),
+            lambda m: so.borderline_gap(m, m),
+            lambda m: so.loewner_leq(m, m),
+            lambda m: so.spectral_sup([m, m]),
+            lambda m: so.shifted_power_sup([m, m]),
+        ],
+        ids=[
+            "monotone_probe", "spectral_leq", "borderline_gap",
+            "loewner_leq", "spectral_sup", "shifted_power_sup",
+        ],
+    )
+    def test_refused(self, op):
+        with pytest.raises(errors.FloatRangeError, match="exceeds the float range"):
+            op(self.BIG)
+
+
 class TestArithmetic:
     def test_add_sub_scale(self):
         a = h([[1, 0], [0, 2]])

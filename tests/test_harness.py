@@ -141,16 +141,17 @@ class TestMonotoneProbe:
             so.monotone_probe(m, m, probes=probes)
 
 
-def _reference_functions(ex, ey, probes, seed):
-    """The probe family as scalar maps, evaluated one eigenvalue at a time."""
-    vals = np.sort(np.concatenate([ex.eigenvalues, ey.eigenvalues]))
+def _reference_functions(wx, wy, scale, probes, seed):
+    """The probe family on the unit-scale spectra as scalar maps, evaluated one
+    eigenvalue at a time; hinge knots are named in the operands' units."""
+    vals = np.sort(np.concatenate([wx, wy]))
     lo, hi = float(vals[0]), float(vals[-1])
     mid = 0.5 * (lo + hi)
     fns = [("identity", lambda s: s)]
     knots = list(vals) + [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
     for t in knots:
         t = float(t)
-        fns.append((f"hinge(t={t:.6g})", lambda s, t=t: max(s - t, 0.0)))
+        fns.append((f"hinge(t={t * scale:.6g})", lambda s, t=t: max(s - t, 0.0)))
     for k in (3, 5):
         fns.append((f"odd_power(k={k})", lambda s, k=k: (s - mid) ** k))
     rng = np.random.default_rng(seed)
@@ -167,31 +168,34 @@ def _reference_functions(ex, ey, probes, seed):
     return fns[:probes]
 
 
-def _reference_leq(ex, ey, f, unit, tol):
-    """f(x) <= f(y) for one scalar map, through HermitianMatrix and one eigvalsh."""
+def _reference_leq(wx, ux, wy, uy, f, tol):
+    """f(x) <= f(y) for one scalar map on the unit-scale spectra, through
+    HermitianMatrix and one eigvalsh, with the slack's unit 1."""
     mapped = []
-    for es in (ex, ey):
-        vals = np.array([float(f(float(v))) for v in es.eigenvalues])
-        u = es.eigenvectors
+    for w, u in ((wx, ux), (wy, uy)):
+        vals = np.array([float(f(float(v))) for v in w])
         mapped.append((so.HermitianMatrix((u * vals) @ u.conj().T), float(np.max(np.abs(vals)))))
     (fx, norm_fx), (fy, norm_fy) = mapped
     lam_min = float(np.linalg.eigvalsh(fy.entries - fx.entries)[0])
-    return lam_min >= -tol.psd_tol * (unit + norm_fx + norm_fy)
+    return lam_min >= -tol.psd_tol * (1.0 + norm_fx + norm_fy)
 
 
 def _reference_verdicts(x, y, seed, tol=so.DEFAULT_TOL):
-    """Both probes run one function at a time, in order, stopping at the first failure."""
+    """Both probes run one function at a time, in order, stopping at the first
+    failure, on x / s and y / s with s the power-of-two scale of their largest
+    |eigenvalue|."""
     ex, ey = so.eigensystem(x), so.eigensystem(y)
-    unit = core._unit(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
-    fns = _reference_functions(ex, ey, 24, seed)
+    scale = core._scale(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
+    spectra = (ex.eigenvalues / scale, ex.eigenvectors, ey.eigenvalues / scale, ey.eigenvectors)
+    fns = _reference_functions(spectra[0], spectra[2], scale, 24, seed)
     mono = so.ProbeVerdict(refuted=False, probes_run=24)
     for name, f in fns:
-        if not _reference_leq(ex, ey, f, unit, tol):
+        if not _reference_leq(*spectra, f, tol):
             mono = so.ProbeVerdict(refuted=True, witness=name, probes_run=24)
             break
     power = so.ProbeVerdict(refuted=False, probes_run=4)
     for n in range(1, 5):
-        if not _reference_leq(ex, ey, lambda s, n=n: max(s, 0.0) ** n, unit, tol):
+        if not _reference_leq(*spectra, lambda s, n=n: max(s, 0.0) ** n, tol):
             power = so.ProbeVerdict(refuted=True, witness=f"power n={n}", probes_run=n)
             break
     return mono, power
@@ -230,13 +234,32 @@ class TestBatchedProbeMatchesLoop:
         p, q = gen(1, dim=4, kind="positive", count=2)
         assert so.power_order_probe(1e100 * p, 1e100 * q).witness == "power n=1"
 
-    def test_power_overflow_is_a_typed_error(self):
-        x = 1e100 * gen(2, dim=3)[0]
-        with pytest.raises(errors.NonFiniteError, match="odd_power"):
-            so.monotone_probe(x, x)
-        p = 1e100 * gen(2, dim=3, kind="positive")[0]
-        with pytest.raises(errors.NonFiniteError, match="power n=4"):
-            so.power_order_probe(p, p)
+    def test_powers_do_not_overflow_at_huge_scale(self):
+        # odd_power(k=5) and power n=4 of the raw spectra overflow at 1e100;
+        # at unit scale they do not, and the verdicts are those at scale 1
+        x = gen(2, dim=3)[0]
+        assert so.monotone_probe(1e100 * x, 1e100 * x) == so.monotone_probe(x, x)
+        p = gen(2, dim=3, kind="positive")[0]
+        assert so.power_order_probe(1e100 * p, 1e100 * p) == so.power_order_probe(p, p)
+
+
+class TestScaleFreeVerdicts:
+    """The probes run on x / s and y / s, so scaling both operands by a > 0
+    moves no verdict: hinge knots scale by a, and these pairs have none."""
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-6, 1e9, 1e100])
+    def test_monotone_probe_on_an_ordered_pair(self, a):
+        x, r = gen(3, dim=3, count=2)
+        y = so.spectral_sup([x, r])
+        assert so.monotone_probe(a * x, a * y) == so.monotone_probe(x, y)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-6, 1e9, 1e100])
+    def test_power_probe_on_a_loewner_only_pair(self, a):
+        p, q = gen(3, dim=3, kind="positive_definite", count=2)
+        y = p + 0.1 * q
+        unit = so.power_order_probe(p, y)
+        assert unit.refuted and unit.witness == "power n=3"
+        assert so.power_order_probe(a * p, a * y) == unit
 
 
 class TestPowerOrderProbe:

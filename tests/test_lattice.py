@@ -420,6 +420,7 @@ class TestMembershipClosure:
 
 
 SWEEP_SCALES = (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e10, 1e12)
+FLOAT_RANGE_SCALES = tuple(2.0**k for k in (-1000, -500, -20, 20, 500, 1000, 1023)) + (1.9 * 2.0**1023,)
 
 
 class TestScaleSweep:
@@ -437,27 +438,66 @@ class TestScaleSweep:
             for x, y in pairs
         ]
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("kind", so.INSTANCE_KINDS)
-    def test_answers_and_verdicts_follow_the_scale(self, kind, seed):
-        mats = gen(seed, dim=8, kind=kind, count=3)
+    def check(self, mats, scales):
         sup, inf = so.spectral_sup(mats), so.spectral_inf(mats)
         want = self.verdicts(mats, sup, inf)
         # -K I <= inf <= sup <= K I, K the largest input norm: the answers'
         # scale, also where an answer is zero (a meet of projections)
         top = max(so.operator_norm(m) for m in mats)
-        for a in SWEEP_SCALES:
+        for a in scales:
             scaled = [a * m for m in mats]
             sup_a, inf_a = so.spectral_sup(scaled), so.spectral_inf(scaled)
             assert so.operator_norm(sup_a - a * sup) <= 1e-12 * a * top
             assert so.operator_norm(inf_a - a * inf) <= 1e-12 * a * top
             assert self.verdicts(scaled, sup_a, inf_a) == want, a
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", so.INSTANCE_KINDS)
+    def test_answers_and_verdicts_follow_the_scale(self, kind, seed):
+        self.check(gen(seed, dim=8, kind=kind, count=3), SWEEP_SCALES)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", so.INSTANCE_KINDS)
+    def test_across_the_float_range(self, kind, seed):
+        # largest |lambda| 0.9, so the top scale puts it at 1.71 * 2**1023;
+        # a tolerance, not bit equality: LAPACK rescales beyond about 1e146
+        mats = gen(seed, dim=4, kind=kind, count=3)
+        top = max(so.operator_norm(m) for m in mats)
+        self.check([(0.9 / top) * m for m in mats], FLOAT_RANGE_SCALES)
+
     @pytest.mark.parametrize("a", (1.0,) + SWEEP_SCALES)
     def test_orthogonal_projections_stay_unordered(self, a):
         x, y = a * h(np.diag([1.0, 0.0])), a * h(np.diag([0.0, 1.0]))
         assert not so.loewner_leq(x, y)
         assert so.monotone_probe(x, y).refuted
+
+
+class TestFloatMaximum:
+    """X = diag(low, 1.5e308) and R X R^T, R a plane rotation by 0.3: the
+    verdicts and answers are those at 1/4 scale, where nothing overflows."""
+
+    @staticmethod
+    def pair(low, a=1.0):
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        x = a * np.diag([low, 1.5e308])
+        return so.HermitianMatrix(x), so.HermitianMatrix(rot @ x @ rot.T)
+
+    @pytest.mark.parametrize("low", [-1e308, 1e308])
+    def test_follows_a_quarter_scale(self, low):
+        x, y = self.pair(low)
+        xq, yq = self.pair(low, 0.25)
+        for (a, b), (aq, bq) in (((x, y), (xq, yq)), ((y, x), (yq, xq))):
+            assert so.spectral_leq(a, b).holds is so.spectral_leq(aq, bq).holds is False
+            assert so.loewner_leq(a, b) is so.loewner_leq(aq, bq) is False
+            assert so.borderline_gap(a, b) is so.borderline_gap(aq, bq)
+        for op in (so.spectral_sup, so.spectral_inf):
+            assert so.operator_norm(0.25 * op([x, y]) - op([xq, yq])) <= 1e-12 * 0.375e308
+        assert so.operator_norm(so.spectral_sup([x, y]) - 1.5e308 * so.identity(2)) <= 1e-12 * 1.5e308
+
+    def test_loewner_across_the_whole_range(self):
+        top = 1.5e308 * so.identity(2)
+        assert so.loewner_leq(-top, top) and not so.loewner_leq(top, -top)
 
 
 class TestNearAlignment:

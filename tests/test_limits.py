@@ -245,6 +245,51 @@ class TestScaleSweep:
             so.inverse_power_inf(scaled, delta=a * 1e17)
 
 
+def float_max_pair(low):
+    """X = diag(low, 1.5e308) and R X R^T, R a plane rotation by 0.3."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    x = np.diag([low, 1.5e308])
+    return so.HermitianMatrix(x), so.HermitianMatrix(rot @ x @ rot.T)
+
+
+class TestFloatMaximum:
+    """Sets whose power-mean iterates would overflow, though their answer,
+    1.5e308 I for the sup, is representable: a typed refusal, never a bare
+    ValueError or an overflow traceback, through the library and the CLI."""
+
+    @pytest.mark.parametrize("low", [-1e308, 1e308])
+    def test_sup_routes_refuse(self, low):
+        mats = list(float_max_pair(low))
+        with pytest.raises(errors.FloatRangeError, match="overflows the float range"):
+            so.shifted_power_sup(mats)
+        # kato's zero shift is inadmissible on the indefinite pair
+        kato = errors.FloatRangeError if low > 0 else errors.DeltaTooLargeError
+        with pytest.raises(kato):
+            so.shifted_power_sup(mats, delta=0.0)
+
+    def test_inverse_route(self):
+        # a shift of 1.5e308 makes the indefinite pair invertible, and overflows
+        with pytest.raises(errors.FloatRangeError):
+            so.inverse_power_inf(list(float_max_pair(-1e308)), delta=1.5e308)
+        # the positive pair's inverse iterates stay below its largest eigenvalue
+        mats = list(float_max_pair(1e308))
+        want = so.spectral_inf(mats)
+        assert so.operator_norm(so.inverse_power_inf(mats) - want) <= 1e-6 * so.operator_norm(want)
+
+    @pytest.mark.parametrize("low", [-1e308, 1e308])
+    @pytest.mark.parametrize("formula", ["shifted", "kato"])
+    def test_cli_exit_code(self, tmp_path, capsys, low, formula):
+        path = tmp_path / "top.json"
+        doc = matrices_to_document(list(zip("xy", float_max_pair(low))))
+        path.write_text(json.dumps(doc))
+        code = main(["limits", "--input", str(path), "--formula", formula])
+        err = capsys.readouterr().err
+        want = "DeltaTooLargeError" if formula == "kato" and low < 0 else "FloatRangeError"
+        assert code == (2 if want == "DeltaTooLargeError" else 3)
+        assert err.startswith(f"error: {want}: ") and err.count("\n") == 1
+
+
 CENSUS_ROWS = {
     "kato": ("positive", lambda m: so.power_sup_iterates(m, delta=0.0), so.spectral_sup),
     "inverse": ("positive_definite", so.power_inf_iterates, so.spectral_inf),
