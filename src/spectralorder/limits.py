@@ -26,20 +26,19 @@ every factor's residual against the remaining orthogonal complement is
 carried into the next window. Each pass resolves at least one dimension, so
 at most d windows are needed regardless of n.
 
-The order of the weights n log(lambda) does not depend on n, so
-:func:`_power_mean_roots` sorts the factors by weight once and takes one QR
-of the sorted factor matrix per limit, the graded-matrix technique of
-Demmel and Veselic (SIAM J. Matrix Anal. Appl. 13, 1992). The engine runs
-on the upper-trapezoidal columns of R, and each iterate maps its columns
-back with one product by Q. A window's active factors then occupy only the
-rows down to their deepest nonzero one, so the window is an eigenproblem
-on those few leading rows of the complement (two rows at n = 2**20 on a
-d = 32 set), and only those rows of the coordinates and columns of the
-basis are rotated, in place. Residuals stay absolute: a factor's level is
-its log weight plus twice the log norm of its rows below the emitted ones.
-Eigenpairs stay arrays throughout: the engine returns (root logs, columns)
-and an iterate is the one product (columns * values) columns^* plus the
-shift.
+What n does not change is computed once per limit: :func:`_power_mean_roots`
+sorts the factors by weight and takes one QR of the sorted factor matrix (the
+graded-matrix technique of Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
+1992) and one suffix-sum table of R, each column's last nonzero row and the
+sums of |R|^2 below each row with their logs. A window's active factors occupy
+only the rows of R down to their deepest nonzero one, so a window is an
+eigenproblem on a few rows (two at n = 2**20 on a d = 32 set). A factor's level
+is its log weight plus the log of its squared norm below the emitted rows. Rows
+below the frontier, the largest window stop so far, were never rotated, so the
+table gives those norms and only rows above the frontier are summed again. A
+window that keeps all its rows rotates none, as emitted rows are never read
+again; a partial one rotates the rows it leaves behind in a private copy, since
+R and its table serve the whole ladder. Iterates map columns back by Q.
 
 The exponents run over n = 2**k for k = 0..``tol.max_power_doublings``; that
 cap is the only setting of the ladder. The error of the iterate A_n is about
@@ -70,6 +69,7 @@ adversarial near-degenerate construction reaches it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Iterator, Sequence
 
@@ -82,6 +82,7 @@ from .core import (
     Tolerances,
     _check_set,
     _eigh,
+    _eigvalsh,
     _norm,
     _psd_slack,
     _scale,
@@ -128,6 +129,16 @@ _FRO_MARGIN = 1.0 + 1e-9  # lifts a computed Frobenius norm above any
 _STOP_TOL = 1e-9  # stopping rule: ||E_n - E_{n/2}|| < _STOP_TOL (u + ||E_n||)
 
 
+@contextlib.contextmanager
+def _in_float_range(what: str) -> Iterator[None]:
+    """Raise FloatRangeError for an overflow in the wrapped arithmetic."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatRangeError(f"{what} overflows the float range ({exc})") from exc
+
+
 def _spectral_range(systems: Sequence[EigenSystem]) -> tuple[float, float]:
     """Smallest eigenvalue and largest |eigenvalue| over the set."""
     lam = np.concatenate([es.eigenvalues for es in systems])
@@ -141,8 +152,18 @@ def delta_floor(mats: Sequence[HermitianMatrix]) -> float:
     return _spectral_range([eigensystem(m) for m in mats])[0]
 
 
+def _residual_tables(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column's last nonzero row, and the suffix sums below[r] of |v|^2
+    over rows >= r (a zero row past the end) with their logs."""
+    last = np.max(np.where(vectors != 0.0, np.arange(len(vectors))[:, None], 0), axis=0, initial=0)
+    below = np.zeros((len(vectors) + 1, vectors.shape[1]))
+    below[-2::-1] = np.cumsum((vectors * vectors.conj()).real[::-1], axis=0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: nothing left below
+        return last, below, np.log(below)
+
+
 def _graded_root_pairs(
-    log_weights: np.ndarray, vectors: np.ndarray, inv_exponent: float
+    log_weights: np.ndarray, vectors: np.ndarray, inv_exponent: float, tables: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of (sum_j e^{w_j} v_j v_j^*)^{inv_exponent}.
 
@@ -151,52 +172,54 @@ def _graded_root_pairs(
     exact zeros of the sum. A window only touches the rows down to its
     factors' last nonzero one, so upper-trapezoidal ``vectors`` (the R of a
     weight-ordered QR) give windows of a few rows; dense ones behave as if
-    every window spanned the whole remaining complement.
+    every window spanned the whole remaining complement. ``tables``, the
+    :func:`_residual_tables` of ``vectors``, are taken once for a ladder.
     """
-    v = np.array(vectors, dtype=np.complex128)
+    last, below, log_below = _residual_tables(vectors) if tables is None else tables
     w = np.asarray(log_weights, dtype=float)
-    dim = v.shape[0]
-    # each factor's last nonzero row: a window spans the rows from ``start``
-    # down to the deepest one among its active factors
-    rows = np.arange(dim)[:, None]
-    depth = np.max(np.where(v != 0.0, rows, 0), axis=0, initial=0)
-    norms = np.linalg.norm(v, axis=0)
-    err = _RESIDUAL_CLAMP * norms
-    basis = np.eye(dim, dtype=np.complex128)
-    logs = np.empty(dim)
+    err = _RESIDUAL_CLAMP * np.sqrt(below[0])
+    alive = np.ones(w.shape, dtype=bool)
+    basis = np.eye(len(vectors), dtype=np.complex128)
+    logs = np.empty(len(vectors))
     eps = np.finfo(float).eps
-    start = 0
+    # rows from ``frontier`` down were never rotated; ``rotated`` holds rows start..frontier-1
+    start = frontier = 0
     while True:
-        alive = norms > err
-        if not alive.all():
-            w, v, norms, err, depth = w[alive], v[:, alive], norms[alive], err[alive], depth[alive]
-        if not w.size or start == dim:
+        if start < frontier:
+            tail = below[frontier] + (rotated * rotated.conj()).real.sum(axis=0)
+            with np.errstate(divide="ignore"):
+                log_tail = np.log(tail)
+        else:
+            tail, log_tail = below[start], log_below[start]
+        norms = np.sqrt(tail)
+        alive &= norms > err  # a factor that died stays dead
+        level = np.where(alive, w + log_tail, -np.inf)
+        top = float(level.max(initial=-np.inf))
+        if top == -np.inf:  # no residual left, or every row emitted
             return logs[:start], basis[:, :start]
-        level = w + 2.0 * np.log(norms)
-        top = float(level.max())
         active = level >= top - _ACTIVE_WINDOW
-        stop = int(depth[active].max()) + 1
-        va = v[start:stop, active]
+        stop = max(int(last[active].max()) + 1, frontier)
+        block = vectors[frontier:stop]
+        if start < frontier:
+            block = np.concatenate((rotated, block))
+        va = block[:, active]
         s = (va * np.exp(w[active] - top)) @ va.conj().T
         if stop == start + 1:
-            # a one-row window is its own eigenpair: value s[0, 0], vector 1,
-            # so the rotation and the depth update below would change nothing
+            # a one-row window is its own eigenpair: value s[0, 0], vector 1
             logs[start] = (np.log(s[0, 0].real) + top) * inv_exponent
             err += eps * norms
-            start += 1
-            norms = np.linalg.norm(v[start:], axis=0)
+            start = frontier = stop
             continue
         g, u = _eigh((s + s.conj().T) / 2.0)
         kept = int(np.count_nonzero(g >= _KEEP_RATIO * g[-1]))
         u = u[:, ::-1]  # kept eigenvectors first: they become the emitted rows
         logs[start : start + kept] = (np.log(g[::-1][:kept]) + top) * inv_exponent
-        v[start:stop] = u.conj().T @ v[start:stop]
         basis[:, start:stop] = basis[:, start:stop] @ u
         # Davis-Kahan error of the kept eigenvectors, carried by each residual
         err += (stop - start) * eps * (g[-1] / g[-kept]) * norms
-        depth = np.maximum(depth, stop - 1)  # the rotation fills the window rows
-        start += kept
-        norms = np.linalg.norm(v[start:], axis=0)
+        if kept < stop - start:  # emitted rows are never read again
+            rotated = u[:, kept:].conj().T @ block
+        start, frontier = start + kept, stop
 
 
 def _power_mean_roots(
@@ -205,7 +228,7 @@ def _power_mean_roots(
     normalize: bool,
     inv_sign: float,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (n, values, columns), the eigenpairs of (sum_y y^n / c)^(inv_sign / n)
+    """Yield (n, value logs, columns), the eigenpairs of (sum_y y^n / c)^(inv_sign / n)
     for n = 2**k, k = 0..max_doublings, from the (eigenvalues, eigenvectors) of
     each y. Only strictly positive eigenvalues contribute; c = len(eigs) if
     ``normalize``."""
@@ -221,9 +244,10 @@ def _power_mean_roots(
     logs = np.log(w / scale)
     log_c = math.log(len(eigs)) if normalize else 0.0
     log_scale = inv_sign * math.log(scale)
+    tables = _residual_tables(r)
     for n in (2**k for k in range(int(max_doublings) + 1)):
-        root_logs, cols = _graded_root_pairs(n * logs - log_c, r, inv_sign / n)
-        yield n, np.exp(root_logs + log_scale), q @ cols
+        root_logs, cols = _graded_root_pairs(n * logs - log_c, r, inv_sign / n, tables)
+        yield n, root_logs + log_scale, q @ cols
 
 
 def _check_shift(delta: float, norm: float) -> None:
@@ -265,39 +289,34 @@ def run_schedule(
     unit = 1.0
     residual = math.inf
     trace: list[tuple[int, float, float | None]] = []
-    try:
-        with np.errstate(over="raise"):  # only inputs near the float maximum overflow
-            for n, current in iterates:
-                entries = current.entries
-                if prev is None:
-                    unit = _unit(_norm(entries))
-                else:
-                    step = entries - prev
+    with _in_float_range(f"{what}: an iterate or extrapolant"):
+        for n, current in iterates:
+            entries = current.entries
+            if prev is None:
+                unit = _unit(_norm(entries))
+            else:
+                step = entries - prev
+                ext = entries + step
+                if prev_ext is None:
                     residual = _norm(step)
-                    ext = entries + step
-                    if prev_ext is None:
-                        trace.append((n, residual, None))
-                    else:
-                        ext_residual = _norm(ext - prev_ext)
-                        trace.append((n, residual, ext_residual))
-                        # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
-                        # taken with the Frobenius norm (widened past its roundoff)
-                        # cannot stop the run, so the exact norm is skipped. The sum
-                        # of squares is taken on E_n over its power-of-two scale,
-                        # which adds no rounding and cannot overflow.
-                        scale = _scale(float(np.max(np.abs(ext))))
-                        fro = _FRO_MARGIN * scale * float(np.linalg.norm(ext / scale))
-                        if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
-                            unit + _norm(ext)
-                        ):
-                            return HermitianMatrix(ext), trace
-                    prev_ext = ext
-                prev = entries
-    except FloatingPointError as exc:
-        raise FloatRangeError(
-            f"{what}: an iterate or extrapolant overflows the float range ({exc}); "
-            "the inputs are too near the float maximum for this route"
-        ) from exc
+                    trace.append((n, residual, None))
+                else:
+                    spectra = _eigvalsh(np.stack((step, ext - prev_ext)))
+                    residual, ext_residual = np.max(np.abs(spectra), axis=1).tolist()
+                    trace.append((n, residual, ext_residual))
+                    # ||E_n|| <= ||E_n||_F: a residual at or above the threshold
+                    # taken with the Frobenius norm (widened past its roundoff)
+                    # cannot stop the run, so the exact norm is skipped. The sum
+                    # of squares is taken on E_n over its power-of-two scale,
+                    # which adds no rounding and cannot overflow.
+                    scale = _scale(float(np.max(np.abs(ext))))
+                    fro = _FRO_MARGIN * scale * float(np.linalg.norm(ext / scale))
+                    if ext_residual < _STOP_TOL * (unit + fro) and ext_residual < _STOP_TOL * (
+                        unit + _norm(ext)
+                    ):
+                        return HermitianMatrix(ext), trace
+                prev_ext = ext
+            prev = entries
     raise NoConvergenceError(
         f"{what} did not meet the stopping rule within the exponent schedule "
         f"(last residual {residual:.3e}); near-degenerate breakpoints of the "
@@ -331,9 +350,12 @@ def power_sup_iterates(
             "a shifted element would not be positive semidefinite"
         )
     _check_shift(delta, norm)
-    shifted = [(es.eigenvalues - delta, es.eigenvectors) for es in systems]
-    for n, vals, cols in _power_mean_roots(shifted, tol.max_power_doublings, normalize, +1.0):
-        yield n, HermitianMatrix(delta * np.eye(dim) + (cols * vals) @ cols.conj().T)
+    with _in_float_range("power-mean supremum: a shifted eigenvalue"):
+        shifted = [(es.eigenvalues - delta, es.eigenvectors) for es in systems]
+    for n, logs, cols in _power_mean_roots(shifted, tol.max_power_doublings, normalize, +1.0):
+        with _in_float_range("power-mean supremum: an iterate"):
+            iterate = delta * np.eye(dim) + (cols * np.exp(logs)) @ cols.conj().T
+        yield n, HermitianMatrix(iterate)
 
 
 def shifted_power_sup(
@@ -383,15 +405,18 @@ def power_inf_iterates(
                 f"element {i}: lambda_min(x + delta I) = {lam_min:.3e} is below "
                 f"the invertibility floor {INVERTIBILITY_FLOOR * unit:.3e}"
             )
-    inverted = [(1.0 / (es.eigenvalues + delta), es.eigenvectors) for es in systems]
     _check_shift(delta, norm)
-    for n, vals, cols in _power_mean_roots(inverted, tol.max_power_doublings, normalize, -1.0):
+    with _in_float_range("power-mean infimum: a shifted eigenvalue"):
+        inverted = [(1.0 / (es.eigenvalues + delta), es.eigenvectors) for es in systems]
+    for n, logs, cols in _power_mean_roots(inverted, tol.max_power_doublings, normalize, -1.0):
         if cols.shape[1] < dim:
             raise EigenFailureError(
                 "inverse power mean lost rank; shifted inputs are too close "
                 "to singular for the scale-window engine"
             )
-        yield n, HermitianMatrix(-delta * np.eye(dim) + (cols * vals) @ cols.conj().T)
+        with _in_float_range("power-mean infimum: an iterate"):
+            iterate = -delta * np.eye(dim) + (cols * np.exp(logs)) @ cols.conj().T
+        yield n, HermitianMatrix(iterate)
 
 
 def inverse_power_inf(

@@ -109,11 +109,44 @@ class TestGradedRootEngine:
         raw = rng.standard_normal((2, 8, 2)) + 1j * rng.standard_normal((2, 8, 2))
         qs = [np.linalg.qr(a)[0] for a in raw]
         eigs = [(np.ones(2), q) for q in qs]
-        for n, vals, cols in limits._power_mean_roots(eigs, 10, False, 1.0):
-            assert cols.shape == (8, 4) and vals.shape == (4,)
+        for n, logs, cols in limits._power_mean_roots(eigs, 10, False, 1.0):
+            assert cols.shape == (8, 4) and logs.shape == (4,)
             assert np.linalg.norm(cols.conj().T @ cols - np.eye(4)) < 1e-12
         join = so.spectral_sup([so.HermitianMatrix(q @ q.conj().T) for q in qs])
         assert so.operator_norm(so.HermitianMatrix(cols @ cols.conj().T) - join) < 1e-12
+
+    def test_ladder_calls_equal_fresh_calls(self, monkeypatch):
+        # a partial window rotates the rows it leaves behind on a private
+        # copy: the R and the tables that the whole ladder shares stay as
+        # they were, so every exponent sees what a fresh call would
+        mats = gen(1, dim=16, kind="positive_definite", count=3)
+        eigs = [(1.0 / es.eigenvalues, es.eigenvectors) for es in map(so.eigensystem, mats)]
+        shared, calls, partial = [], [], []
+        engine, eigh = limits._graded_root_pairs, limits._eigh
+
+        def recorded_engine(log_weights, vectors, inv_exponent, tables):
+            if not shared:  # R and its tables before any window ran
+                shared.extend((vectors, tables, vectors.copy(), [t.copy() for t in tables]))
+            out = engine(log_weights, vectors, inv_exponent, tables)
+            calls.append((log_weights, inv_exponent, out))
+            return out
+
+        def recorded_eigh(a):
+            g, u = eigh(a)
+            partial.append(np.count_nonzero(g >= limits._KEEP_RATIO * g[-1]) < g.size)
+            return g, u
+
+        monkeypatch.setattr(limits, "_graded_root_pairs", recorded_engine)
+        monkeypatch.setattr(limits, "_eigh", recorded_eigh)
+        assert len(list(limits._power_mean_roots(eigs, 12, False, -1.0))) == 13
+        assert any(partial)
+        r, tables, r_before, tables_before = shared
+        assert np.array_equal(r, r_before) and all(map(np.array_equal, tables, tables_before))
+        for k in (6, 12):
+            log_weights, inv_exponent, (logs, cols) = calls[k]
+            assert inv_exponent == -1.0 / 2**k
+            fresh_logs, fresh_cols = engine(log_weights, r_before, inv_exponent)
+            assert np.array_equal(logs, fresh_logs) and np.array_equal(cols, fresh_cols)
 
 
 class TestCostModel:
@@ -129,6 +162,22 @@ class TestCostModel:
         tol = so.Tolerances(max_power_doublings=12)
         iterates = list(so.power_sup_iterates(gen(1, dim=8, count=3), tol=tol))
         assert len(iterates) == 13 and len(calls) == 1
+
+    def test_no_norm_call_per_window(self, monkeypatch):
+        # residual norms are read from the ladder's suffix-sum table, and
+        # only rows that a partial window rotated are summed again
+        calls = []
+        norm = np.linalg.norm
+
+        def counted_norm(*args, **kwargs):
+            calls.append(args[0].shape)
+            return norm(*args, **kwargs)
+
+        systems = map(so.eigensystem, gen(1, dim=8, count=3))
+        eigs = [(es.eigenvalues, es.eigenvectors) for es in systems]
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        ladder = list(limits._power_mean_roots(eigs, 12, False, 1.0))
+        assert len(ladder) == 13 and not calls
 
     @pytest.mark.parametrize("delta", [0.0, None])
     def test_windows_take_only_the_leading_rows(self, monkeypatch, delta):
@@ -177,6 +226,18 @@ class TestExtrapolatedStop:
         limit, trace = limits.run_schedule(so.power_sup_iterates([m]), "sup")
         assert [n for n, _, _ in trace] == [2, 4]
         assert so.operator_norm(limit - m) < 1e-11 * (1.0 + so.operator_norm(m))
+
+    def test_trace_records_are_norms_of_the_iterate_differences(self):
+        # the stacked eigvalsh gives each residual bit for bit as _norm would
+        iterates = list(so.power_sup_iterates(gen(1, dim=8, count=3), delta=0.0))
+        limit, trace = limits.run_schedule(iter(iterates), "sup")
+        a = [it.entries for _, it in iterates]
+        ext = [None] + [a[k] + (a[k] - a[k - 1]) for k in range(1, len(a))]
+        for k, (n, residual, ext_residual) in enumerate(trace, start=1):
+            assert n == iterates[k][0]
+            assert residual == limits._norm(a[k] - a[k - 1])
+            assert ext_residual == (None if k == 1 else limits._norm(ext[k] - ext[k - 1]))
+        assert np.array_equal(limit.entries, ext[len(trace)])
 
     def test_no_convergence_carries_extrapolant_residuals(self):
         with pytest.raises(errors.NoConvergenceError) as exc:
@@ -288,6 +349,22 @@ class TestFloatMaximum:
         want = "DeltaTooLargeError" if formula == "kato" and low < 0 else "FloatRangeError"
         assert code == (2 if want == "DeltaTooLargeError" else 3)
         assert err.startswith(f"error: {want}: ") and err.count("\n") == 1
+
+
+class TestIteratesRunByHand:
+    """The float-maximum sets iterated outside run_schedule: the generators
+    themselves raise FloatRangeError, with no overflow warning."""
+
+    @pytest.mark.parametrize("low,delta", [(-1e308, None), (1e308, None), (1e308, 0.0)])
+    def test_sup_iterates(self, low, delta):
+        with pytest.raises(errors.FloatRangeError, match="overflows the float range"):
+            for _ in so.power_sup_iterates(list(float_max_pair(low)), delta=delta):
+                pass
+
+    def test_inverse_iterates(self):
+        with pytest.raises(errors.FloatRangeError, match="overflows the float range"):
+            for _ in so.power_inf_iterates(list(float_max_pair(-1e308)), delta=1.5e308):
+                pass
 
 
 CENSUS_ROWS = {
