@@ -11,17 +11,22 @@ Document format (JSON, format_version "1")::
       ]
     }
 
-"im" may be omitted for real matrices. Reports are JSON by default and are
-byte-identical across reruns with the same flags and seed; wall-clock data
-is isolated under a "timing" key so it can be stripped before comparison.
+"im" may be omitted for real matrices. Each report command turns its
+operands into a report; :func:`main` runs every one through one pipeline:
+parse, build the tolerances, time the whole command (document loading
+included), add the one "timing" key and emit. Reports are JSON by default
+and are byte-identical across reruns with the same flags and seed apart
+from "timing", which holds only the wall time and can be stripped before
+comparison. ``gen`` writes a document, not a report, outside the pipeline.
 
 Exit codes: 0 evaluation succeeded (regardless of verdicts), 2 usage or
 input error, 3 numerical backend failure, 4 non-convergence. The verify
 subcommand additionally exits 1 when the suite ran but reported failures.
 The codes come from the error classes themselves (see
 :mod:`spectralorder.errors`), so a bad flag value, a non-integer seed
-variable or a non-finite matrix entry exits 2 like any other input error,
-and every failure ends in one ``error:`` line instead of a traceback.
+variable, a non-finite matrix entry or a file that cannot be read, decoded
+or written exits 2 like any other input error, and every failure ends in
+one ``error:`` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def load_document(path: str, tol: Tolerances) -> dict[str, HermitianMatrix]:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != "1":
         raise InputError(f"{path}: expected format_version \"1\"")
@@ -117,20 +122,14 @@ def load_document(path: str, tol: Tolerances) -> dict[str, HermitianMatrix]:
     return out
 
 
-def _pick(named: dict[str, HermitianMatrix], names: list[str]) -> list[HermitianMatrix]:
+def _operands(args, tol: Tolerances) -> tuple[list[str], list[HermitianMatrix]]:
+    """The matrices that ``--names`` picks from ``--input`` (default: all), and their names."""
+    named = load_document(args.input, tol)
+    names = args.names.split(",") if args.names else list(named)
     missing = [n for n in names if n not in named]
     if missing:
         raise InputError(f"names not found in document: {', '.join(missing)}")
-    return [named[n] for n in names]
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        cluster_tol=args.tol_cluster,
-        psd_tol=args.tol_psd,
-        conv_tol=args.tol_conv,
-        max_power_doublings=args.max_doublings,
-    )
+    return names, [named[n] for n in names]
 
 
 def _family_summary(sf: SpectralFamily) -> dict:
@@ -140,12 +139,18 @@ def _family_summary(sf: SpectralFamily) -> dict:
     }
 
 
-def _emit(report: dict, args, stream=None) -> None:
-    stream = stream or sys.stdout
-    if args.format == "json":
-        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+def _write_json(obj: dict, path: str | None = None) -> None:
+    """Write ``obj`` as compact JSON with sorted keys and a newline, to
+    ``path`` or, without one, to stdout."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    if not path:
+        sys.stdout.write(text)
         return
-    _emit_text(report, stream)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_text(report: dict, stream, indent: str = "") -> None:
@@ -168,17 +173,13 @@ def _verdict_dict(verdict) -> dict:
     return out
 
 
-def cmd_compare(args) -> int:
-    tol = _tolerances(args)
-    named = load_document(args.input, tol)
-    names = args.names.split(",")
-    if len(names) != 2:
+def cmd_compare(args, tol: Tolerances) -> tuple[dict, int]:
+    if len(args.names.split(",")) != 2:
         raise InputError("compare needs exactly two names, e.g. --names a,b")
-    x, y = _pick(named, names)
-    start = time.perf_counter()
+    names, (x, y) = _operands(args, tol)
     verdict = spectral_leq(x, y, tol)
     probe = monotone_probe(x, y, probes=args.probes, seed=args.seed, tol=tol)
-    report = {
+    return {
         "command": "compare",
         "names": names,
         "loewner_leq": loewner_leq(x, y, tol),
@@ -189,18 +190,11 @@ def cmd_compare(args) -> int:
             "probes_run": probe.probes_run,
             **({"witness": probe.witness} if probe.refuted else {}),
         },
-        "timing": {"wall_time_s": time.perf_counter() - start},
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_lattice(args) -> int:
-    tol = _tolerances(args)
-    named = load_document(args.input, tol)
-    names = args.names.split(",") if args.names else list(named)
-    mats = _pick(named, names)
-    start = time.perf_counter()
+def cmd_lattice(args, tol: Tolerances) -> tuple[dict, int]:
+    names, mats = _operands(args, tol)
     sf = lattice_family(mats, args.mode, tol)
     doc = matrices_to_document([(args.mode, reconstruct(sf, tol))])
     report = {
@@ -208,29 +202,21 @@ def cmd_lattice(args) -> int:
         "mode": args.mode,
         "names": names,
         "result_family": _family_summary(sf),
-        "timing": {"wall_time_s": time.perf_counter() - start},
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        _write_json(doc, args.output)
         report["output"] = args.output
     else:
         report["result_document"] = doc
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _trace_entries(trace: list[tuple[int, float, float | None]]) -> list[dict]:
     return [{"n": n, "residual": r, "extrapolant_residual": e} for n, r, e in trace]
 
 
-def cmd_limits(args) -> int:
-    tol = _tolerances(args)
-    named = load_document(args.input, tol)
-    names = args.names.split(",") if args.names else list(named)
-    mats = _pick(named, names)
-    start = time.perf_counter()
+def cmd_limits(args, tol: Tolerances) -> tuple[dict, int]:
+    names, mats = _operands(args, tol)
     trace: list[tuple[int, float, float | None]] = []
     if args.formula == "orthosum":
         result = orthogonal_sup(mats)
@@ -253,41 +239,26 @@ def cmd_limits(args) -> int:
         try:
             result, trace = run_schedule(iterates, what)
         except errors.NoConvergenceError as exc:
-            return _no_convergence_report(args, exc, start)
+            error = {
+                "type": "NoConvergence",
+                "message": str(exc),
+                "residual": exc.residual,
+                "residual_trace": _trace_entries(exc.trace),
+            }
+            return {"command": "limits", "formula": args.formula, "error": error}, exc.exit_code
         reference = lattice_op(mats, tol)
-    deviation = operator_norm(result - reference)
-    report = {
+    return {
         "command": "limits",
         "formula": args.formula,
         "names": names,
         "residual_trace": _trace_entries(trace),
         "limit_route": _matrix_to_doc_entry("limit", result),
         "lattice_route": _matrix_to_doc_entry("lattice", reference),
-        "route_deviation": deviation,
-        "timing": {"wall_time_s": time.perf_counter() - start},
-    }
-    _emit(report, args)
-    return EXIT_OK
+        "route_deviation": operator_norm(result - reference),
+    }, EXIT_OK
 
 
-def _no_convergence_report(args, exc: errors.NoConvergenceError, start: float) -> int:
-    report = {
-        "command": "limits",
-        "formula": args.formula,
-        "error": {
-            "type": "NoConvergence",
-            "message": str(exc),
-            "residual": exc.residual,
-            "residual_trace": _trace_entries(exc.trace),
-        },
-        "timing": {"wall_time_s": time.perf_counter() - start},
-    }
-    _emit(report, args, stream=sys.stderr if args.format == "text" else sys.stdout)
-    return exc.exit_code
-
-
-def cmd_verify(args) -> int:
-    tol = _tolerances(args)
+def cmd_verify(args, tol: Tolerances) -> tuple[dict, int]:
     spec = InstanceSpec(
         dim=args.dim,
         seed=args.seed,
@@ -295,16 +266,9 @@ def cmd_verify(args) -> int:
         count=1,
         spectrum_spread=args.spread,
     )
-    report_obj = run_suite(args.suite, spec, args.cases, tol)
-    report = {
-        "command": "verify",
-        "dim": args.dim,
-        "seed": args.seed,
-        "cases": args.cases,
-        **report_obj.to_dict(include_timing=True),
-    }
-    _emit(report, args)
-    return EXIT_OK if report_obj.ok else 1
+    suite = run_suite(args.suite, spec, args.cases, tol)
+    report = {"command": "verify", "dim": args.dim, "seed": args.seed, "cases": args.cases}
+    return {**report, **suite.to_dict()}, EXIT_OK if suite.ok else 1
 
 
 def cmd_gen(args) -> int:
@@ -316,13 +280,7 @@ def cmd_gen(args) -> int:
         spectrum_spread=args.spread,
     )
     mats = gen_instances(spec)
-    doc = matrices_to_document([(f"m{i}", m) for i, m in enumerate(mats)])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json(matrices_to_document([(f"m{i}", m) for i, m in enumerate(mats)]), args.output)
     return EXIT_OK
 
 
@@ -402,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--spread", type=float, default=0.1)
     p_gen.add_argument("--output", default=None, help="write document here (default stdout)")
     _add_common(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
@@ -420,10 +377,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        start = time.perf_counter()
+        tol = Tolerances(
+            cluster_tol=args.tol_cluster,
+            psd_tol=args.tol_psd,
+            conv_tol=args.tol_conv,
+            max_power_doublings=args.max_doublings,
+        )
+        report, code = args.func(args, tol)
+        report["timing"] = {"wall_time_s": time.perf_counter() - start}
     except (errors.InvalidInputError, errors.NumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    if args.format == "json":
+        _write_json(report)
+    else:  # a text report of an error goes to stderr
+        _emit_text(report, sys.stderr if "error" in report else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -506,15 +506,13 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The deterministic fields; ``wall_time_s`` is left out."""
+        return {
             "suite": self.suite,
             "cases_run": self.cases_run,
             "failures": [f.to_dict() for f in self.failures],
         }
-        if include_timing:
-            out["timing"] = {"wall_time_s": self.wall_time_s}
-        return out
 
 
 def _gen(seed: int, dim: int, kind: str, count: int = 1, spread: float = 0.1):

@@ -163,7 +163,7 @@ def _residual_tables(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _graded_root_pairs(
-    log_weights: np.ndarray, vectors: np.ndarray, inv_exponent: float, tables: tuple | None = None
+    log_weights: np.ndarray, vectors: np.ndarray, inv_exponent: float, tables: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of (sum_j e^{w_j} v_j v_j^*)^{inv_exponent}.
 
@@ -172,10 +172,10 @@ def _graded_root_pairs(
     exact zeros of the sum. A window only touches the rows down to its
     factors' last nonzero one, so upper-trapezoidal ``vectors`` (the R of a
     weight-ordered QR) give windows of a few rows; dense ones behave as if
-    every window spanned the whole remaining complement. ``tables``, the
-    :func:`_residual_tables` of ``vectors``, are taken once for a ladder.
+    every window spanned the whole remaining complement. ``tables`` are the
+    :func:`_residual_tables` of ``vectors``, built once for a whole ladder.
     """
-    last, below, log_below = _residual_tables(vectors) if tables is None else tables
+    last, below, log_below = tables
     w = np.asarray(log_weights, dtype=float)
     err = _RESIDUAL_CLAMP * np.sqrt(below[0])
     alive = np.ones(w.shape, dtype=bool)

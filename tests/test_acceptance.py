@@ -257,8 +257,8 @@ def test_criterion_11_determinism():
             first = so.run_suite(suite, spec, cases=8)
             second = so.run_suite(suite, spec, cases=8)
             assert first.ok and second.ok, f"suite {suite} failed"
-            a = json.dumps(first.to_dict(include_timing=False), sort_keys=True)
-            b = json.dumps(second.to_dict(include_timing=False), sort_keys=True)
+            a = json.dumps(first.to_dict(), sort_keys=True)
+            b = json.dumps(second.to_dict(), sort_keys=True)
             assert a == b, f"suite {suite} report not byte-identical"
         print(f"  {len(so.SUITE_IDS)} suites byte-identical across reruns (timing excluded)")
 

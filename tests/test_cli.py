@@ -36,6 +36,15 @@ def fixture_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def positive_path(tmp_path):
+    """Two positive 4x4 matrices on which kato needs more than 3 doublings."""
+    mats = so.gen_instances(so.InstanceSpec(dim=4, seed=3, kind="positive", count=2))
+    path = tmp_path / "pos.json"
+    path.write_text(json.dumps(matrices_to_document([("m0", mats[0]), ("m1", mats[1])])))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -179,9 +188,6 @@ class TestLimits:
         assert ext[0] is None and all(isinstance(e, float) for e in ext[1:])
         # the run stops on the extrapolated rule, at the last entry
         assert ext[-1] < 1e-9 * (1.0 + np.linalg.norm(rep["limit_route"]["re"], 2))
-        _, again = run(capsys, *argv)
-        rep.pop("timing"), again.pop("timing")
-        assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
 
     def test_orthosum_exact(self, tmp_path, capsys):
         doc = {
@@ -212,29 +218,20 @@ class TestLimits:
         )
         assert code == 2
 
-    def test_no_convergence_exit_four(self, tmp_path, capsys):
-        mats = so.gen_instances(so.InstanceSpec(dim=4, seed=3, kind="positive", count=2))
-        path = tmp_path / "pos.json"
-        path.write_text(json.dumps(matrices_to_document([("m0", mats[0]), ("m1", mats[1])])))
+    def test_no_convergence_exit_four(self, positive_path, capsys):
         code, rep = run(
-            capsys, "limits", "--input", str(path), "--formula", "kato", "--max-doublings", "3"
+            capsys, "limits", "--input", positive_path, "--formula", "kato", "--max-doublings", "3"
         )
         assert code == 4
         assert rep["error"]["type"] == "NoConvergence"
         assert [t["n"] for t in rep["error"]["residual_trace"]] == [2, 4, 8]
 
-    def test_no_convergence_reports_extrapolant_residuals(self, tmp_path, capsys):
-        mats = so.gen_instances(so.InstanceSpec(dim=4, seed=3, kind="positive", count=2))
-        path = tmp_path / "pos.json"
-        path.write_text(json.dumps(matrices_to_document([("m0", mats[0]), ("m1", mats[1])])))
-        argv = ["limits", "--input", str(path), "--formula", "kato", "--max-doublings", "3"]
+    def test_no_convergence_reports_extrapolant_residuals(self, positive_path, capsys):
+        argv = ["limits", "--input", positive_path, "--formula", "kato", "--max-doublings", "3"]
         code, rep = run(capsys, *argv)
         assert code == 4
         ext = [t["extrapolant_residual"] for t in rep["error"]["residual_trace"]]
         assert ext[0] is None and all(e > 0.0 for e in ext[1:])
-        _, again = run(capsys, *argv)
-        rep.pop("timing"), again.pop("timing")
-        assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
 
     def test_harmonic_pair(self, fixture_path, capsys):
         code, rep = run(
@@ -270,14 +267,6 @@ class TestVerify:
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "bogus_suite"]) == 2
 
-    def test_reports_byte_identical_modulo_timing(self, capsys):
-        argv = ["verify", "sublattice_closure", "--dim", "3", "--cases", "6", "--seed", "3"]
-        code1, rep1 = run(capsys, *argv)
-        code2, rep2 = run(capsys, *argv)
-        assert code1 == code2 == 0
-        rep1.pop("timing"), rep2.pop("timing")
-        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-
     def test_env_var_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECTRAL_LATTICE_SEED", "123")
         _, rep_env = run(capsys, "verify", "order_laws", "--dim", "3", "--cases", "2")
@@ -287,6 +276,47 @@ class TestVerify:
         )
         rep_env.pop("timing"), rep_flag.pop("timing")
         assert rep_env == rep_flag
+
+
+class TestPipeline:
+    """main times every report command as a whole and adds the one
+    "timing" key; the rest of a report is byte-identical across reruns."""
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["compare", "--input", "FIXTURE", "--names", "x,y"], 0),
+            (["lattice", "--input", "FIXTURE", "--mode", "sup"], 0),
+            (["limits", "--input", "FIXTURE", "--names", "a,p", "--formula", "kato"], 0),
+            (["limits", "--input", "POSITIVE", "--formula", "kato", "--max-doublings", "3"], 4),
+            (["verify", "sublattice_closure", "--dim", "3", "--cases", "6", "--seed", "3"], 0),
+        ],
+        ids=["compare", "lattice", "limits", "limits_no_convergence", "verify"],
+    )
+    def test_reports_byte_identical_modulo_timing(
+        self, fixture_path, positive_path, capsys, argv, exit_code
+    ):
+        argv = [{"FIXTURE": fixture_path, "POSITIVE": positive_path}.get(a, a) for a in argv]
+        stable = []
+        for _ in range(2):
+            assert main(argv) == exit_code
+            out = capsys.readouterr().out
+            assert out.count('"timing"') == 1
+            report = json.loads(out)
+            timing = report.pop("timing")
+            assert list(timing) == ["wall_time_s"] and timing["wall_time_s"] > 0.0
+            stable.append(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        assert stable[0] == stable[1]
+
+    def test_text_no_convergence_report_goes_to_stderr(self, positive_path, capsys):
+        argv = ["limits", "--input", positive_path, "--formula", "kato", "--max-doublings", "3"]
+        code = main([*argv, "--format", "text"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("command: limits\nerror:\n")
+        assert "  type: NoConvergence\n" in captured.err
+        assert "\ntiming:\n  wall_time_s: " in captured.err
 
 
 class TestParserReuse:
@@ -408,20 +438,36 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "document",
         [
-            '{"format_version": "1", "dim": 2, "matrices": 5}',
-            '{"format_version": "1", "dim": 2, "matrices": null}',
-            '{"format_version": "1", "dim": 1e400, "matrices": []}',
+            b'{"format_version": "1", "dim": 2, "matrices": 5}',
+            b'{"format_version": "1", "dim": 2, "matrices": null}',
+            b'{"format_version": "1", "dim": 1e400, "matrices": []}',
+            b'\xff\xfe{"format_version": "1"}',
+            b"[" * 100_000 + b"]" * 100_000,
         ],
-        ids=["matrices_number", "matrices_null", "dim_overflow"],
+        ids=["matrices_number", "matrices_null", "dim_overflow", "not_utf8", "nested_too_deep"],
     )
     def test_malformed_document_exits_two(self, tmp_path, capsys, document):
         path = tmp_path / "doc.json"
-        path.write_text(document)
+        path.write_bytes(document)
         code = main(["lattice", "--mode", "sup", "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: InputError") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["lattice", "--input", "FIXTURE", "--mode", "sup"], ["gen", "--kind", "generic", "--dim", "2"]],
+        ids=["lattice", "gen"],
+    )
+    def test_unwritable_output_exits_two(self, fixture_path, tmp_path, capsys, command):
+        out = tmp_path / "no" / "such" / "dir" / "out.json"
+        code = main([fixture_path if a == "FIXTURE" else a for a in command] + ["--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: InputError: cannot write ")
+        assert captured.err.count("\n") == 1
 
     def test_lattice_midpoint_failure_exits_three(self, tmp_path, capsys):
         # Breakpoints 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into one grid

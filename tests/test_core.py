@@ -119,7 +119,8 @@ class TestEigenFailure:
 
     def test_graded_root_engine(self):
         with pytest.raises(errors.EigenFailureError):
-            limits._graded_root_pairs(np.zeros(2), np.eye(2), 1.0)
+            vectors = np.eye(2)
+            limits._graded_root_pairs(np.zeros(2), vectors, 1.0, limits._residual_tables(vectors))
 
     @pytest.mark.parametrize("kind", ["generic", "positive"])
     def test_instance_generator(self, kind):

@@ -386,7 +386,7 @@ class TestRunSuite:
     def test_deterministic_reports(self):
         a = so.run_suite("order_laws", so.InstanceSpec(dim=3, seed=11), cases=5)
         b = so.run_suite("order_laws", so.InstanceSpec(dim=3, seed=11), cases=5)
-        assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+        assert a.to_dict() == b.to_dict()
 
     def test_tolerance_misconfiguration_aborts(self):
         # a psd_tol below rounding noise makes the lattice construction

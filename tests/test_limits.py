@@ -62,7 +62,7 @@ class TestGradedRootEngine:
         vecs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         vecs /= np.linalg.norm(vecs, axis=0)
         log_w = rng.uniform(-3.0, 0.0, 6)
-        logs, cols = _graded_root_pairs(log_w, vecs, inv_exponent)
+        logs, cols = _graded_root_pairs(log_w, vecs, inv_exponent, limits._residual_tables(vecs))
         assert np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) < 1e-12
         dense = so.HermitianMatrix((vecs * np.exp(log_w)) @ vecs.conj().T)
         want = so.functional_calculus(dense, lambda s: max(s, 0.0) ** inv_exponent)
@@ -74,14 +74,15 @@ class TestGradedRootEngine:
         # Weights 50 apart put each factor in its own scale window.
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         log_w = np.array([0.0, -50.0, -100.0, -150.0])
-        logs, cols = _graded_root_pairs(log_w, q, inv_exponent)
+        logs, cols = _graded_root_pairs(log_w, q, inv_exponent, limits._residual_tables(q))
         assert np.allclose(logs, inv_exponent * log_w, rtol=0.0, atol=1e-12)
         assert np.allclose(np.abs(q.T @ cols), np.eye(4), rtol=0.0, atol=1e-12)
 
     def test_factors_in_a_subspace_give_its_rank(self):
         vecs = np.zeros((4, 3), dtype=complex)
         vecs[:2] = [[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]]
-        logs, cols = _graded_root_pairs(np.array([0.0, -1.0, -2.0]), vecs, 1.0)
+        log_w = np.array([0.0, -1.0, -2.0])
+        logs, cols = _graded_root_pairs(log_w, vecs, 1.0, limits._residual_tables(vecs))
         assert logs.shape == (2,) and cols.shape == (4, 2)
 
     @pytest.mark.parametrize("dim,count", [(6, 10), (8, 3)])
@@ -95,8 +96,8 @@ class TestGradedRootEngine:
         log_w = n * np.log(rng.uniform(0.1, 1.0, count))
         order = np.argsort(-log_w, kind="stable")
         q, r = np.linalg.qr(vecs[:, order])
-        logs, cols = _graded_root_pairs(log_w[order], r, 1.0 / n)
-        dense_logs, dense_cols = _graded_root_pairs(log_w, vecs, 1.0 / n)
+        logs, cols = _graded_root_pairs(log_w[order], r, 1.0 / n, limits._residual_tables(r))
+        dense_logs, dense_cols = _graded_root_pairs(log_w, vecs, 1.0 / n, limits._residual_tables(vecs))
         assert np.allclose(np.sort(logs), np.sort(dense_logs), rtol=0.0, atol=1e-12)
         got = ((q @ cols) * np.exp(logs)) @ (q @ cols).conj().T
         want = (dense_cols * np.exp(dense_logs)) @ dense_cols.conj().T
@@ -145,7 +146,9 @@ class TestGradedRootEngine:
         for k in (6, 12):
             log_weights, inv_exponent, (logs, cols) = calls[k]
             assert inv_exponent == -1.0 / 2**k
-            fresh_logs, fresh_cols = engine(log_weights, r_before, inv_exponent)
+            fresh_logs, fresh_cols = engine(
+                log_weights, r_before, inv_exponent, limits._residual_tables(r_before)
+            )
             assert np.array_equal(logs, fresh_logs) and np.array_equal(cols, fresh_cols)
 
 
