@@ -302,12 +302,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-doublings", type=int, default=tol.max_power_doublings, help="cap on exponent doublings"
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"master seed (default from ${SEED_ENV_VAR}, else 0)",
-    )
     parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
 
@@ -359,8 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--spread", type=float, default=0.1)
     p_gen.add_argument("--output", default=None, help="write document here (default stdout)")
-    _add_common(p_gen)
 
+    for p in sub.choices.values():  # the one flag gen shares with the report commands
+        p.add_argument(
+            "--seed", type=int, default=None, help=f"master seed (default from ${SEED_ENV_VAR}, else 0)"
+        )
     return parser
 
 

@@ -601,15 +601,11 @@ def _suite_sublattice_closure(spec: InstanceSpec, cases: int, tol: Tolerances):
         s = case_seed(spec.seed, i)
         klass = OPERATOR_CLASSES[i % len(OPERATOR_CLASSES)]
         count = 2 + i % 2
-        if klass == "positive":
-            mats = _gen(s, spec.dim, "positive", count=count, spread=spec.spectrum_spread)
-        elif klass == "effect":
-            mats = _gen(s, spec.dim, "effect", count=count, spread=spec.spectrum_spread)
-        elif klass == "projection":
-            mats = _gen(s, spec.dim, "projection", count=count, spread=spec.spectrum_spread)
-        else:
+        if klass == "unit_ball":
             raw = _gen(s, spec.dim, "generic", count=count, spread=spec.spectrum_spread)
             mats = [m * (0.97 / max(0.97, operator_norm(m))) for m in raw]
+        else:
+            mats = _gen(s, spec.dim, klass, count=count, spread=spec.spectrum_spread)
         report = membership_closure_check(mats, klass, tol)
         if not report.passed:
             yield CaseFailure(i, s, f"closure_{klass}", "; ".join(report.failures))

@@ -49,8 +49,9 @@ extrapolant E_n = 2 A_n - A_{n/2}, which cancels the c/n term: at the first
 n with ||E_n - E_{n/2}|| < ``_STOP_TOL * (u + ||E_n||)`` (fixed
 ``_STOP_TOL = 1e-9``) it returns E_n, typically near n = 2**19. The unit
 u = min(1, 2**ceil(log2 ||A_1||)) (``core._unit``) keeps the rule relative
-below unit scale; the shift checks, the invertibility floor and the default
-inverse shift use the unit of the inputs' largest |eigenvalue|. Extrapolation
+below unit scale. Both power routes run at unit scale, on the eigenvalues over
+s = 2**ceil(log2 max|lambda|) (``core._scale``), so their shift checks, the
+invertibility floor and the default inverse shift are scale-free. Extrapolation
 uses only the route's own iterates, so it stays independent of the lattice route.
 
 A carried residual is only as accurate as the windows that rotated it.
@@ -116,7 +117,7 @@ __all__ = [
     "INVERTIBILITY_FLOOR",
 ]
 
-# Minimum admissible lambda_min(x + delta I) / u for the inverse formulas.
+# Minimum admissible lambda_min(x + delta I) / s for the inverse formulas.
 INVERTIBILITY_FLOOR = 1e-6
 
 # Engine constants (natural-log units where noted).
@@ -250,15 +251,6 @@ def _power_mean_roots(
         yield n, root_logs + log_scale, q @ cols
 
 
-def _check_shift(delta: float, norm: float) -> None:
-    """Reject a shift whose rounding, eps * |delta| on every shifted eigenvalue,
-    exceeds the stopping rule at the input scale: the limit would be wrong."""
-    if np.finfo(float).eps * abs(delta) > _STOP_TOL * (_unit(norm) + norm):
-        raise DeltaTooLargeError(
-            f"shift {delta} is too large: its rounding exceeds the stopping rule"
-        )
-
-
 def run_schedule(
     iterates: Iterator[tuple[int, HermitianMatrix]], what: str
 ) -> tuple[HermitianMatrix, list[tuple[int, float, float | None]]]:
@@ -327,6 +319,58 @@ def run_schedule(
     )
 
 
+def _power_iterates(
+    mats: Sequence[HermitianMatrix],
+    delta: float | None,
+    sign: float,
+    normalize: bool,
+    tol: Tolerances,
+) -> Iterator[tuple[int, HermitianMatrix]]:
+    """Yield (n, c I + (sum_x (x - c I)^(sign n) / m)^(sign / n)) for n = 2**k,
+    k = 0..tol.max_power_doublings, with c = sign * delta and m = len(mats) if
+    ``normalize``, else 1. sign = +1 is the supremum route, whose default c is the
+    floor; sign = -1 is the infimum route, whose default delta is max(0, s - floor).
+
+    All arithmetic runs on the eigenvalues over s = :func:`_scale` of the largest
+    |eigenvalue|. s is a power of two, so dividing by it and multiplying the
+    iterate back are exact, and every check is scale-free."""
+    dim = _check_set(mats)
+    systems = [eigensystem(m) for m in mats]
+    floor, norm = _spectral_range(systems)
+    s = _scale(norm)
+    floor, norm = floor / s, norm / s
+    if delta is None:
+        c = floor if sign > 0 else -max(0.0, 1.0 - floor)
+    else:
+        c = sign * delta / s
+    if sign > 0 and c > floor + _psd_slack(norm, 0.0, tol):
+        raise DeltaTooLargeError(
+            f"shift {delta} exceeds the admissible floor {s * floor}; "
+            "a shifted element would not be positive semidefinite"
+        )
+    for i, es in enumerate(systems):
+        lam_min = float(es.eigenvalues[0]) / s - c
+        if sign < 0 and lam_min < INVERTIBILITY_FLOOR:
+            raise NotInvertibleError(
+                f"element {i}: lambda_min(x + delta I) = {s * lam_min:.3e} is below "
+                f"the invertibility floor {INVERTIBILITY_FLOOR * s:.3e}"
+            )
+    if np.finfo(float).eps * abs(c) > _STOP_TOL * (1.0 + norm):  # eps |c| on every eigenvalue
+        raise DeltaTooLargeError(
+            f"shift {delta} is too large: its rounding exceeds the stopping rule"
+        )
+    factors = [((es.eigenvalues / s - c) ** sign, es.eigenvectors) for es in systems]
+    for n, logs, cols in _power_mean_roots(factors, tol.max_power_doublings, normalize, sign):
+        if sign < 0 and cols.shape[1] < dim:
+            raise EigenFailureError(
+                "inverse power mean lost rank; shifted inputs are too close "
+                "to singular for the scale-window engine"
+            )
+        with _in_float_range(f"power-mean {'supremum' if sign > 0 else 'infimum'}: an iterate"):
+            iterate = s * (c * np.eye(dim) + (cols * np.exp(logs)) @ cols.conj().T)
+        yield n, HermitianMatrix(iterate)
+
+
 def power_sup_iterates(
     mats: Sequence[HermitianMatrix],
     delta: float | None = None,
@@ -339,23 +383,7 @@ def power_sup_iterates(
     This is the trace surface behind :func:`shifted_power_sup`; the CLI runs
     it through :func:`run_schedule` to report per-exponent residuals.
     """
-    dim = _check_set(mats)
-    systems = [eigensystem(m) for m in mats]
-    floor, norm = _spectral_range(systems)
-    if delta is None:
-        delta = floor
-    if delta > floor + _psd_slack(norm, 0.0, tol):
-        raise DeltaTooLargeError(
-            f"shift {delta} exceeds the admissible floor {floor}; "
-            "a shifted element would not be positive semidefinite"
-        )
-    _check_shift(delta, norm)
-    with _in_float_range("power-mean supremum: a shifted eigenvalue"):
-        shifted = [(es.eigenvalues - delta, es.eigenvectors) for es in systems]
-    for n, logs, cols in _power_mean_roots(shifted, tol.max_power_doublings, normalize, +1.0):
-        with _in_float_range("power-mean supremum: an iterate"):
-            iterate = delta * np.eye(dim) + (cols * np.exp(logs)) @ cols.conj().T
-        yield n, HermitianMatrix(iterate)
+    return _power_iterates(mats, delta, +1.0, normalize, tol)
 
 
 def shifted_power_sup(
@@ -392,31 +420,7 @@ def power_inf_iterates(
     tol: Tolerances = DEFAULT_TOL,
 ) -> Iterator[tuple[int, HermitianMatrix]]:
     """Yield (n, -delta I + (sum_x (x + delta I)^(-n) / c)^(-1/n))."""
-    dim = _check_set(mats)
-    systems = [eigensystem(m) for m in mats]
-    floor, norm = _spectral_range(systems)
-    unit = _unit(norm)
-    if delta is None:
-        delta = max(0.0, unit - floor)
-    for i, es in enumerate(systems):
-        lam_min = float(es.eigenvalues[0]) + delta
-        if lam_min < INVERTIBILITY_FLOOR * unit:
-            raise NotInvertibleError(
-                f"element {i}: lambda_min(x + delta I) = {lam_min:.3e} is below "
-                f"the invertibility floor {INVERTIBILITY_FLOOR * unit:.3e}"
-            )
-    _check_shift(delta, norm)
-    with _in_float_range("power-mean infimum: a shifted eigenvalue"):
-        inverted = [(1.0 / (es.eigenvalues + delta), es.eigenvectors) for es in systems]
-    for n, logs, cols in _power_mean_roots(inverted, tol.max_power_doublings, normalize, -1.0):
-        if cols.shape[1] < dim:
-            raise EigenFailureError(
-                "inverse power mean lost rank; shifted inputs are too close "
-                "to singular for the scale-window engine"
-            )
-        with _in_float_range("power-mean infimum: an iterate"):
-            iterate = -delta * np.eye(dim) + (cols * np.exp(logs)) @ cols.conj().T
-        yield n, HermitianMatrix(iterate)
+    return _power_iterates(mats, delta, -1.0, normalize, tol)
 
 
 def inverse_power_inf(
@@ -428,11 +432,11 @@ def inverse_power_inf(
     """Infimum via the inverse power-mean limit.
 
     Requires every x + delta I to be positive invertible (lambda_min at
-    least INVERTIBILITY_FLOOR * u). The default shift max(0, u - floor),
-    with u = min(1, 2**ceil(log2 max|lambda|)), pushes the binding element's
-    smallest eigenvalue to the input scale, at most one, minimizing the
-    dynamic range of the inverted family without a shift so large that
-    cancellation wipes out the digits of a small answer.
+    least INVERTIBILITY_FLOOR * s, s = 2**ceil(log2 max|lambda|)). The
+    default shift max(0, s - floor) pushes the binding element's smallest
+    eigenvalue to the input scale s, minimizing the dynamic range of the
+    inverted family without a shift so large that cancellation wipes out
+    the digits of a small answer.
     """
     limit, _ = run_schedule(power_inf_iterates(mats, delta, normalize, tol), "power-mean infimum")
     return limit

@@ -388,6 +388,14 @@ class TestGen:
             for j in range(i + 1, 3):
                 assert np.linalg.norm(mats[i].entries @ mats[j].entries, 2) < 1e-10
 
+    @pytest.mark.parametrize("flag", [["--tol-psd", "-1"], ["--format", "text"]])
+    def test_report_flags_are_usage_errors(self, capsys, flag):
+        # gen writes a document, so it takes no tolerance or report format
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "generic", "--dim", "2", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_commuting_family(self, capsys):
         code, doc = run(capsys, "gen", "--kind", "commuting_family", "--count", "3",
                         "--dim", "4", "--seed", "3")
@@ -520,11 +528,15 @@ class TestLibraryBoundary:
         "max_doublings": "max_power_doublings",
     }
 
-    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    @pytest.mark.parametrize("command", sorted(set(MINIMAL_ARGV) - {"gen"}))
     def test_tolerance_defaults_come_from_library(self, command):
         args = vars(build_parser().parse_args([command, *self.MINIMAL_ARGV[command]]))
         parsed = {field: args[flag] for flag, field in self.FLAG_FIELDS.items()}
         assert parsed == dataclasses.asdict(so.DEFAULT_TOL)
+
+    def test_gen_has_no_tolerance_flags(self):
+        args = vars(build_parser().parse_args(["gen", *self.MINIMAL_ARGV["gen"]]))
+        assert not set(self.FLAG_FIELDS) & set(args)
 
     def test_every_subcommand_has_minimal_argv(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -580,16 +592,28 @@ def fuzz_document(seed, exponent):
     }
 
 
+# The only input reasons a fuzz document can give a limit formula for exit 2:
+# the error it names and whether the eigenvalues lam, with s the power of two
+# at or above max |lam|, give that reason.
+EXIT_TWO_REASONS = {
+    "kato": ("DeltaTooLargeError", lambda lam, s: lam.min() < 0.0),
+    "harmonic": ("NotInvertibleError", lambda lam, s: lam.min() < 1e-6 * s),
+}
+
+
 class TestScaleFuzz:
     """Every command keeps the exit-code contract at every scale up to the
     float maximum: a report or one ``error:`` line, never a traceback or a
-    RuntimeWarning, and compare and lattice always answer."""
+    RuntimeWarning, and compare and lattice always answer. Exit 2 comes only
+    from a reason in the document: kato's zero shift on a negative
+    eigenvalue, or harmonic on one below the invertibility floor."""
 
     @pytest.mark.parametrize("exponent", FUZZ_EXPONENTS)
     def test_exit_codes(self, tmp_path, capsys, exponent):
         for seed in range(16):
+            doc = fuzz_document(seed, exponent)
             path = tmp_path / f"doc{seed}.json"
-            path.write_text(json.dumps(fuzz_document(seed, exponent)))
+            path.write_text(json.dumps(doc))
             for call in FUZZ_CALLS:
                 argv = [*call, "--input", str(path)]
                 code = main(argv)
@@ -599,3 +623,12 @@ class TestScaleFuzz:
                 assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), where
                 if call[0] != "limits":
                     assert code == 0, where
+                if code == 2:
+                    assert call[-1] in EXIT_TWO_REASONS, where
+                    name, has_reason = EXIT_TWO_REASONS[call[-1]]
+                    lam = np.concatenate([
+                        np.linalg.eigvalsh(np.asarray(m["re"]) + 1j * np.asarray(m["im"]))
+                        for m in doc["matrices"]
+                    ])
+                    s = 2.0 ** min(np.ceil(np.log2(np.abs(lam).max())), 1023)
+                    assert err.startswith(f"error: {name}: ") and has_reason(lam, s), where

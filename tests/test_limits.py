@@ -309,6 +309,38 @@ class TestScaleSweep:
             so.inverse_power_inf(scaled, delta=a * 1e17)
 
 
+class TestUnitScaleGenerators:
+    """The power routes run on the eigenvalues over the power of two s of the
+    largest |eigenvalue|, so their default shifts are scale-free."""
+
+    @pytest.mark.parametrize("a", [1e16, 1e17, 1e20])
+    def test_default_inverse_shift_survives_large_scales(self, a):
+        # the shift s - lambda_min lifts the binding eigenvalue to s, which
+        # rounding cannot erase however large the set
+        far = []
+        for seed in range(20):
+            mats = [a * m for m in gen(seed, dim=3, kind="generic", count=2)]
+            want = so.spectral_inf(mats)
+            err = so.operator_norm(so.inverse_power_inf(mats) - want)
+            if err > 1e-6 * so.operator_norm(want):
+                far.append((seed, err))
+        assert not far
+
+    @pytest.mark.parametrize("k", [-40, -3, 3, 40])
+    def test_iterates_scale_with_the_inputs(self, k):
+        a = 2.0**k
+        rows = [
+            (so.power_sup_iterates, gen(4, dim=5, kind="generic", count=3)),
+            (so.power_inf_iterates, gen(4, dim=5, kind="positive_definite", count=3)),
+        ]
+        for iterates, mats in rows:
+            pairs = zip(iterates(mats), iterates([a * m for m in mats]), strict=True)
+            for (n, it), (n_a, it_a) in pairs:
+                assert n_a == n
+                want = a * it.entries
+                assert limits._norm(it_a.entries - want) <= 1e-13 * limits._norm(want), n
+
+
 def float_max_pair(low):
     """X = diag(low, 1.5e308) and R X R^T, R a plane rotation by 0.3."""
     c, s = np.cos(0.3), np.sin(0.3)
@@ -333,9 +365,12 @@ class TestFloatMaximum:
             so.shifted_power_sup(mats, delta=0.0)
 
     def test_inverse_route(self):
-        # a shift of 1.5e308 makes the indefinite pair invertible, and overflows
-        with pytest.raises(errors.FloatRangeError):
-            so.inverse_power_inf(list(float_max_pair(-1e308)), delta=1.5e308)
+        # a shift of 1.5e308 makes the indefinite pair invertible; at unit
+        # scale neither the shift nor the iterates overflow
+        mats = list(float_max_pair(-1e308))
+        want = so.spectral_inf(mats)
+        out = so.inverse_power_inf(mats, delta=1.5e308)
+        assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
         # the positive pair's inverse iterates stay below its largest eigenvalue
         mats = list(float_max_pair(1e308))
         want = so.spectral_inf(mats)
@@ -365,9 +400,12 @@ class TestIteratesRunByHand:
                 pass
 
     def test_inverse_iterates(self):
-        with pytest.raises(errors.FloatRangeError, match="overflows the float range"):
-            for _ in so.power_inf_iterates(list(float_max_pair(-1e308)), delta=1.5e308):
-                pass
+        # run at unit scale, the indefinite pair's inverse iterates stay in range
+        mats = list(float_max_pair(-1e308))
+        want = so.spectral_inf(mats)
+        for _, it in so.power_inf_iterates(mats, delta=1.5e308):
+            pass
+        assert so.operator_norm(it - want) <= 1e-6 * so.operator_norm(want)
 
 
 CENSUS_ROWS = {
@@ -547,8 +585,8 @@ class TestInversePowerInf:
 
     def test_default_delta_reaches_unit_floor(self):
         mats = [h(np.diag([-2.0, 1.0]))]
-        # default shift is max(0, 1 - floor) = 3, so x + delta I has
-        # lambda_min exactly 1
+        # default shift is max(0, s - floor) = 4 with s = 2, so x + delta I
+        # has lambda_min exactly s
         out = so.inverse_power_inf(mats)
         assert so.operator_norm(out - mats[0]) < 1e-9
 
