@@ -13,11 +13,12 @@ Document format (JSON, format_version "1")::
 
 "im" may be omitted for real matrices. Each report command turns its
 operands into a report; :func:`main` runs every one through one pipeline:
-parse, build the tolerances, time the whole command (document loading
-included), add the one "timing" key and emit. Reports are JSON by default
-and are byte-identical across reruns with the same flags and seed apart
-from "timing", which holds only the wall time and can be stripped before
-comparison. ``gen`` writes a document, not a report, outside the pipeline.
+parse, build the tolerances (a command takes the flags of the fields it
+reads, the library defaults fill the rest), time the whole command (document
+loading included), add the one "timing" key and emit. Reports are JSON by
+default and are byte-identical across reruns with the same flags and seed
+apart from "timing", which holds only the wall time and can be stripped
+before comparison. ``gen`` writes a document, not a report, outside the pipeline.
 
 Exit codes: 0 evaluation succeeded (regardless of verdicts), 2 usage or
 input error, 3 numerical backend failure, 4 non-convergence. The verify
@@ -216,6 +217,12 @@ def _trace_entries(trace: list[tuple[int, float, float | None]]) -> list[dict]:
 
 
 def cmd_limits(args, tol: Tolerances) -> tuple[dict, int]:
+    for flag, given, readers in (
+        ("--delta", args.delta is not None, ("shifted", "inverse")),
+        ("--normalize", args.normalize, ("kato", "shifted", "inverse")),
+    ):
+        if given and args.formula not in readers:
+            raise InputError(f"--formula {args.formula} does not read {flag}")
     names, mats = _operands(args, tol)
     trace: list[tuple[int, float, float | None]] = []
     if args.formula == "orthosum":
@@ -224,20 +231,16 @@ def cmd_limits(args, tol: Tolerances) -> tuple[dict, int]:
     else:
         # Run the iterates here rather than through shifted_power_sup or
         # inverse_power_inf: the report needs the residual trace they drop.
-        if args.formula in ("kato", "shifted"):
-            delta = 0.0 if args.formula == "kato" else args.delta
-            iterates = power_sup_iterates(mats, delta, args.normalize, tol)
-            what, lattice_op = "power-mean supremum", spectral_sup
-        elif args.formula == "inverse":
-            iterates = power_inf_iterates(mats, args.delta, args.normalize, tol)
-            what, lattice_op = "power-mean infimum", spectral_inf
-        else:  # harmonic
-            if len(mats) != 2:
-                raise InputError("harmonic needs exactly two matrices")
-            iterates = power_inf_iterates(mats, 0.0, True, tol)
-            what, lattice_op = "power-mean infimum", spectral_inf
+        # kato and harmonic are the zero-shift routes, harmonic normalized.
+        if args.formula == "harmonic" and len(mats) != 2:
+            raise InputError("harmonic needs exactly two matrices")
+        delta = 0.0 if args.formula in ("kato", "harmonic") else args.delta
+        normalize = args.normalize or args.formula == "harmonic"
+        sup = args.formula in ("kato", "shifted")
+        iterates = (power_sup_iterates if sup else power_inf_iterates)(mats, delta, normalize, tol)
+        lattice_op = spectral_sup if sup else spectral_inf
         try:
-            result, trace = run_schedule(iterates, what)
+            result, trace = run_schedule(iterates, f"power-mean {'supremum' if sup else 'infimum'}")
         except errors.NoConvergenceError as exc:
             error = {
                 "type": "NoConvergence",
@@ -292,16 +295,20 @@ def _default_seed() -> int:
         raise InputError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    tol = DEFAULT_TOL
-    parser.add_argument(
-        "--tol-cluster", type=float, default=tol.cluster_tol, help="relative eigenvalue clustering width"
-    )
-    parser.add_argument("--tol-psd", type=float, default=tol.psd_tol, help="PSD slack base rate")
-    parser.add_argument("--tol-conv", type=float, default=tol.conv_tol, help="iteration stopping threshold")
-    parser.add_argument(
-        "--max-doublings", type=int, default=tol.max_power_doublings, help="cap on exponent doublings"
-    )
+# The flag of each Tolerances field. A report command takes the flags of the
+# fields it reads; main fills the others from the library defaults.
+_TOL_FLAGS = {
+    "cluster_tol": ("--tol-cluster", float, "relative eigenvalue clustering width"),
+    "psd_tol": ("--tol-psd", float, "PSD slack base rate"),
+    "conv_tol": ("--tol-conv", float, "iteration stopping threshold"),
+    "max_power_doublings": ("--max-doublings", int, "cap on exponent doublings"),
+}
+
+
+def _add_report_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    for field in fields:
+        flag, kind, text = _TOL_FLAGS[field]
+        parser.add_argument(flag, dest=field, type=kind, default=getattr(DEFAULT_TOL, field), help=text)
     parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
 
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--input", required=True, help="matrix-set document (JSON)")
     p_compare.add_argument("--names", required=True, help="two comma-separated names")
     p_compare.add_argument("--probes", type=int, default=24, help="monotone probe count")
-    _add_common(p_compare)
+    _add_report_flags(p_compare, "cluster_tol", "psd_tol")
     p_compare.set_defaults(func=cmd_compare)
 
     p_lattice = sub.add_parser("lattice", help="supremum or infimum of named matrices")
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("--names", default=None, help="comma-separated names (default: all)")
     p_lattice.add_argument("--mode", choices=("sup", "inf"), required=True)
     p_lattice.add_argument("--output", default=None, help="write result document here")
-    _add_common(p_lattice)
+    _add_report_flags(p_lattice, "cluster_tol", "psd_tol")
     p_lattice.set_defaults(func=cmd_lattice)
 
     p_limits = sub.add_parser("limits", help="run an iterative limit formula and report residuals")
@@ -334,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_limits.add_argument(
         "--formula", choices=("kato", "shifted", "inverse", "harmonic", "orthosum"), required=True
     )
-    p_limits.add_argument("--delta", type=float, default=None, help="shift override")
-    p_limits.add_argument("--normalize", action="store_true", help="use the arithmetic-mean variant")
-    _add_common(p_limits)
+    p_limits.add_argument("--delta", type=float, default=None, help="shift override (shifted, inverse)")
+    p_limits.add_argument("--normalize", action="store_true", help="arithmetic mean (kato, shifted, inverse)")
+    _add_report_flags(p_limits, "cluster_tol", "psd_tol", "max_power_doublings")
     p_limits.set_defaults(func=cmd_limits)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=4)
     p_verify.add_argument("--cases", type=int, default=50)
     p_verify.add_argument("--spread", type=float, default=0.1, help="minimum eigenvalue gap")
-    _add_common(p_verify)
+    _add_report_flags(p_verify, *_TOL_FLAGS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded matrix-set document")
@@ -377,12 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "gen":
             return cmd_gen(args)
         start = time.perf_counter()
-        tol = Tolerances(
-            cluster_tol=args.tol_cluster,
-            psd_tol=args.tol_psd,
-            conv_tol=args.tol_conv,
-            max_power_doublings=args.max_doublings,
-        )
+        tol = Tolerances(**{field: v for field, v in vars(args).items() if field in _TOL_FLAGS})
         report, code = args.func(args, tol)
         report["timing"] = {"wall_time_s": time.perf_counter() - start}
     except (errors.InvalidInputError, errors.NumericalError) as exc:

@@ -9,7 +9,6 @@ one-directional; ground truth for the order itself is always spectral_leq.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
@@ -116,8 +115,8 @@ class InstanceSpec:
             raise InvalidSpecError("count must be >= 1")
         if self.kind not in INSTANCE_KINDS:
             raise InvalidSpecError(f"unknown kind {self.kind!r}")
-        if not (self.spectrum_spread > 0.0):
-            raise InvalidSpecError("spectrum_spread must be positive")
+        if not (0.0 < self.spectrum_spread < np.inf):
+            raise InvalidSpecError("spectrum_spread must be positive and finite")
         if self.kind == "orthogonal_family" and self.dim < self.count:
             raise InvalidSpecError("orthogonal_family needs dim >= count")
 
@@ -162,11 +161,10 @@ def _one_instance(rng: np.random.Generator, spec: InstanceSpec) -> HermitianMatr
                 h, lambda w: _respace(np.maximum(w, 0.0), gap) + gap
             )
         return _with_spectrum(h, lambda w: np.clip(w, 0.0, 1.0))
-    if spec.kind == "projection":
-        rank = int(rng.integers(1, d)) if d > 1 else 1
-        q, _ = np.linalg.qr(_complex_gaussian(rng, d)[:, :rank])
-        return HermitianMatrix(q @ q.conj().T)
-    raise InvalidSpecError(f"kind {spec.kind!r} is a family kind")  # pragma: no cover
+    # projection, the one kind left: InstanceSpec checked it, gen_instances built the families
+    rank = int(rng.integers(1, d)) if d > 1 else 1
+    q, _ = np.linalg.qr(_complex_gaussian(rng, d)[:, :rank])
+    return HermitianMatrix(q @ q.conj().T)
 
 
 def gen_instances(spec: InstanceSpec) -> list[HermitianMatrix]:
@@ -176,6 +174,8 @@ def gen_instances(spec: InstanceSpec) -> list[HermitianMatrix]:
     the returned list: one conjugating unitary and, respectively, common
     eigenvectors or disjoint diagonal blocks.
     """
+    if spec.seed < 0:
+        raise InvalidSpecError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     d = spec.dim
     if spec.kind == "commuting_family":
@@ -301,8 +301,8 @@ def monotone_probe(
     probe stays an independent check of it.
     """
     x._require_same_dim(y)
-    if probes < 1:
-        raise InvalidParameterError(f"probe count must be at least 1, got {probes}")
+    if probes < 1 or seed < 0:
+        raise InvalidParameterError(f"need probes >= 1 and seed >= 0, got {probes} and {seed}")
     ex, ey, scale = _at_unit_scale(eigensystem(x), eigensystem(y))
     fns = _probe_functions(ex, ey, scale, probes, seed)
     first = _first_violation(ex, ey, fns, tol)
@@ -495,19 +495,18 @@ class CaseFailure:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    """Aggregated result of one verification suite run."""
+    """Aggregated result of one verification suite run; no field is timed."""
 
     suite: str
     cases_run: int
     failures: tuple[CaseFailure, ...]
-    wall_time_s: float
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        """The deterministic fields; ``wall_time_s`` is left out."""
+        """The report as a JSON-ready dict."""
         return {
             "suite": self.suite,
             "cases_run": self.cases_run,
@@ -756,9 +755,5 @@ def run_suite(
         )
     if cases < 1:
         raise InvalidSpecError("cases must be >= 1")
-    start = time.perf_counter()
     failures = tuple(_SUITES[name](spec, cases, tol))
-    elapsed = time.perf_counter() - start
-    return SuiteReport(
-        suite=name, cases_run=cases, failures=failures, wall_time_s=elapsed
-    )
+    return SuiteReport(suite=name, cases_run=cases, failures=failures)

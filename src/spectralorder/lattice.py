@@ -5,7 +5,7 @@ E^sup_lambda = meet_i E^{x_i}_lambda. With finitely many matrices it is a
 step function on the merged breakpoint grid, already right continuous, so
 the pointwise formula reconstructs the answer exactly up to clustering. The
 right-continuity regularization needed for infinite sets is a structural
-no-op here; a debug check (``__debug__``) verifies step constancy at
+no-op here; a guard, run on every call, verifies step constancy at
 interval midpoints. Negation reverses the spectral order, so the infimum is
 -sup(-x) and needs no code of its own.
 
@@ -105,11 +105,11 @@ def lattice_family(
     InternalLatticeError
         If an input's eigenvectors are not orthonormal within cluster_tol,
         an input does not reach rank d at the top grid point, a cluster
-        adds more directions than the join has room for, or the join does
-        not end at the whole space (under ``__debug__``, also if the family
-        is not constant between grid points, checked wherever nesting does
-        not already force the value). That signals a tolerance
-        misconfiguration and is never repaired by re-sorting.
+        adds more directions than the join has room for, the join does not
+        end at the whole space, or the family is not constant between grid
+        points (checked wherever nesting does not already force the value).
+        That signals a tolerance misconfiguration and is never repaired by
+        re-sorting.
     """
     if mode == "sup":
         return _sup_family(mats, tol)
@@ -147,19 +147,17 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
         raise InternalLatticeError("lattice family does not terminate at the identity")
     # Input columns with eigenvalues in cluster j: below[j]..grid_ranks[j].
     below = np.vstack((np.zeros_like(grid_ranks[:1]), grid_ranks[:-1]))
-    midpoints = {}
-    if __debug__:
-        # Step constancy between grid points (the finite-set shadow of the
-        # right-continuity regularization), keyed by the cluster above the
-        # midpoint. Skip near-merged gaps where the evaluation slack could
-        # legitimately cross a breakpoint, and midpoints where every input
-        # has the lower grid point's rank, since the value there is the
-        # same computation.
-        half = 0.5 * grid  # halved, no midpoint or gap overflows
-        mid_ranks = ranks_at(half[:-1] + half[1:], 0.0)
-        wide = np.diff(half) >= 5.0 * width
-        changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
-        midpoints = {j + 1: mid_ranks[j] for j in np.flatnonzero(wide & changed)}
+    # Step constancy between grid points (the finite-set shadow of the
+    # right-continuity regularization), keyed by the cluster above the
+    # midpoint. Skip near-merged gaps where the evaluation slack could
+    # legitimately cross a breakpoint, and midpoints where every input has
+    # the lower grid point's rank, since the value there is the same
+    # computation.
+    half = 0.5 * grid  # halved, no midpoint or gap overflows
+    mid_ranks = ranks_at(half[:-1] + half[1:], 0.0)
+    wide = np.diff(half) >= 5.0 * width
+    changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
+    midpoints = {j + 1: mid_ranks[j] for j in np.flatnonzero(wide & changed)}
 
     def count_new(resid: np.ndarray) -> tuple[np.ndarray, int]:
         """Left singular vectors of ``resid``, largest first, and how many

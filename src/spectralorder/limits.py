@@ -90,7 +90,6 @@ from .core import (
     _svd,
     _unit,
     eigensystem,
-    negative_part,
     operator_norm,
     positive_part,
 )
@@ -98,6 +97,7 @@ from .errors import (
     DeltaTooLargeError,
     EigenFailureError,
     FloatRangeError,
+    InvalidParameterError,
     NoConvergenceError,
     NotInvertibleError,
     NotOrthogonalError,
@@ -335,6 +335,8 @@ def _power_iterates(
     |eigenvalue|. s is a power of two, so dividing by it and multiplying the
     iterate back are exact, and every check is scale-free."""
     dim = _check_set(mats)
+    if delta is not None and not math.isfinite(delta):
+        raise InvalidParameterError(f"shift must be finite, got {delta}")
     systems = [eigensystem(m) for m in mats]
     floor, norm = _spectral_range(systems)
     s = _scale(norm)
@@ -403,6 +405,8 @@ def shifted_power_sup(
 
     Raises
     ------
+    InvalidParameterError
+        If delta is NaN or infinite.
     DeltaTooLargeError
         If delta exceeds the floor, so some x - delta I is not PSD.
     NoConvergenceError
@@ -463,14 +467,18 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
         raise TooFewElementsError(
             "orthogonal-family formulas need at least two elements"
         )
+    # Each element over the power of two at or above its norm: exact, and no product over- or underflows.
     norms = [operator_norm(m) for m in mats]
+    scales = [_scale(n) for n in norms]
+    units = [m.entries / s for m, s in zip(mats, scales)]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            prod = float(_svd(mats[i].entries @ mats[j].entries, compute_uv=False)[0])
-            bound = norms[i] * norms[j]
+            prod = float(_svd(units[i] @ units[j], compute_uv=False)[0])
+            bound = (norms[i] / scales[i]) * (norms[j] / scales[j])
             if prod > 1e-10 * (_unit(bound) + bound):
                 raise NotOrthogonalError(
-                    f"elements {i} and {j} are not orthogonal: ||x y|| = {prod:.3e}"
+                    f"elements {i} and {j} are not orthogonal: "
+                    f"||x y|| = {prod * scales[i] * scales[j]:.3e}"
                 )
 
 
@@ -484,9 +492,5 @@ def orthogonal_sup(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
 
 
 def orthogonal_inf(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
-    """Infimum of mutually orthogonal elements: minus the sum of negative parts."""
-    _check_orthogonal(mats)
-    out = negative_part(mats[0])
-    for m in mats[1:]:
-        out = out + negative_part(m)
-    return -out
+    """Infimum of mutually orthogonal elements, -orthogonal_sup(-x): minus the sum of negative parts."""
+    return -orthogonal_sup([-m for m in mats])

@@ -1,13 +1,17 @@
 import ast
-import dataclasses
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spectralorder as so
 from spectralorder import cli, errors, lattice, limits
@@ -43,6 +47,33 @@ def positive_path(tmp_path):
     path = tmp_path / "pos.json"
     path.write_text(json.dumps(matrices_to_document([("m0", mats[0]), ("m1", mats[1])])))
     return str(path)
+
+
+# --delta is read by shifted and inverse, --normalize by kato, shifted and
+# inverse; every other formula refuses the flag.
+FORMULA_FLAGS = {"--delta": ("shifted", "inverse"), "--normalize": ("kato", "shifted", "inverse")}
+FORMULAS = ("kato", "shifted", "inverse", "harmonic", "orthosum")
+
+# The tolerance flags, and those that each report command takes: the flags of
+# the Tolerances fields it reads.
+FLAG_FIELDS = {
+    "--tol-cluster": "cluster_tol",
+    "--tol-psd": "psd_tol",
+    "--tol-conv": "conv_tol",
+    "--max-doublings": "max_power_doublings",
+}
+COMMAND_TOL_FLAGS = {
+    "compare": {"--tol-cluster", "--tol-psd"},
+    "lattice": {"--tol-cluster", "--tol-psd"},
+    "limits": {"--tol-cluster", "--tol-psd", "--max-doublings"},
+    "verify": set(FLAG_FIELDS),
+}
+
+
+def option_strings(command):
+    """The option strings that ``command``'s parser accepts, help aside."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return [s for a in sub._actions if a.dest != "help" for s in a.option_strings]
 
 
 def run(capsys, *argv):
@@ -217,6 +248,34 @@ class TestLimits:
             ["limits", "--input", fixture_path, "--names", "a,b,p", "--formula", "harmonic"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag,formula",
+        [(f, m) for f, readers in FORMULA_FLAGS.items() for m in FORMULAS if m not in readers],
+    )
+    def test_unread_formula_flag_exits_two(self, fixture_path, capsys, flag, formula):
+        argv = ["limits", "--input", fixture_path, "--names", "c,d", "--formula", formula, flag]
+        code = main(argv + (["0.5"] if flag == "--delta" else []))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: InputError: --formula {formula} does not read {flag}\n"
+
+    @pytest.mark.parametrize(
+        "flag,formula", [(f, m) for f, readers in FORMULA_FLAGS.items() for m in readers]
+    )
+    def test_read_formula_flag_exits_zero(self, fixture_path, capsys, flag, formula):
+        argv = ["limits", "--input", fixture_path, "--names", "c,d", "--formula", formula, flag]
+        code, rep = run(capsys, *argv, *(["0.5"] if flag == "--delta" else []))
+        assert code == 0 and rep["route_deviation"] < 1e-6
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("formula", ["shifted", "inverse"])
+    def test_non_finite_delta_exits_two(self, fixture_path, capsys, formula, value):
+        argv = ["limits", "--input", fixture_path, "--names", "c,d", "--formula", formula]
+        code = main([*argv, f"--delta={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: InvalidParameterError: shift must be finite") and err.count("\n") == 1
 
     def test_no_convergence_exit_four(self, positive_path, capsys):
         code, rep = run(
@@ -396,6 +455,16 @@ class TestGen:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv", [["gen", "--kind", "generic", "--dim", "2"], ["compare", "--names", "c,d"]]
+    )
+    def test_negative_seed_exits_two(self, fixture_path, capsys, argv):
+        if argv[0] == "compare":
+            argv = [*argv, "--input", fixture_path]
+        assert main([*argv, "--seed=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+
     def test_commuting_family(self, capsys):
         code, doc = run(capsys, "gen", "--kind", "commuting_family", "--count", "3",
                         "--dim", "4", "--seed", "3")
@@ -521,22 +590,32 @@ class TestLibraryBoundary:
         "gen": ["--kind", "generic", "--dim", "2"],
     }
 
-    FLAG_FIELDS = {
-        "tol_cluster": "cluster_tol",
-        "tol_psd": "psd_tol",
-        "tol_conv": "conv_tol",
-        "max_doublings": "max_power_doublings",
-    }
-
-    @pytest.mark.parametrize("command", sorted(set(MINIMAL_ARGV) - {"gen"}))
+    @pytest.mark.parametrize("command", sorted(COMMAND_TOL_FLAGS))
     def test_tolerance_defaults_come_from_library(self, command):
+        flags = set(option_strings(command)) & set(FLAG_FIELDS)
+        assert flags == COMMAND_TOL_FLAGS[command]
         args = vars(build_parser().parse_args([command, *self.MINIMAL_ARGV[command]]))
-        parsed = {field: args[flag] for flag, field in self.FLAG_FIELDS.items()}
-        assert parsed == dataclasses.asdict(so.DEFAULT_TOL)
+        fields = [FLAG_FIELDS[f] for f in flags]
+        assert {f: args[f] for f in fields} == {f: getattr(so.DEFAULT_TOL, f) for f in fields}
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c, flags in COMMAND_TOL_FLAGS.items() for f in FLAG_FIELDS if f not in flags],
+    )
+    def test_unread_tolerance_flag_is_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.MINIMAL_ARGV[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_unflagged_fields_come_from_library(self, fixture_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "Tolerances", lambda **kw: built.append(kw) or so.Tolerances(**kw))
+        assert main(["lattice", "--input", fixture_path, "--mode", "sup", "--tol-psd", "2e-9"]) == 0
+        assert built == [{"cluster_tol": so.DEFAULT_TOL.cluster_tol, "psd_tol": 2e-9}]
 
     def test_gen_has_no_tolerance_flags(self):
-        args = vars(build_parser().parse_args(["gen", *self.MINIMAL_ARGV["gen"]]))
-        assert not set(self.FLAG_FIELDS) & set(args)
+        assert not set(option_strings("gen")) & set(FLAG_FIELDS)
 
     def test_every_subcommand_has_minimal_argv(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -632,3 +711,78 @@ class TestScaleFuzz:
                     ])
                     s = 2.0 ** min(np.ceil(np.log2(np.abs(lam).max())), 1023)
                     assert err.startswith(f"error: {name}: ") and has_reason(lam, s), where
+
+
+# Values of the flags the property test draws: zero, negative, non-finite and
+# ordinary ones. ``None`` is a switch given bare.
+FLOAT_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-12", "0.5", "1e300")
+INT_VALUES = ("0", "-1", "1", "3", "nan", "inf")
+PROPERTY_VALUES = {
+    **{flag: FLOAT_VALUES for flag in ("--tol-cluster", "--tol-psd", "--tol-conv", "--delta", "--spread")},
+    **{flag: INT_VALUES for flag in ("--max-doublings", "--probes", "--seed")},
+    "--format": ("json", "text"),
+    "--normalize": (None,),
+}
+
+
+class TestCliProperty:
+    """Any report command, on a seeded document at any scale from 1e-300 to
+    1e307, with any subset of its flags at zero, negative, non-finite or
+    ordinary values, and perhaps one flag it does not take: an exit code of
+    the contract, at most one ``error:`` line, no exception and no
+    RuntimeWarning. Usage errors are argparse's (SystemExit 2)."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_exit_code_contract(self, tmp_path, data):
+        command = data.draw(st.sampled_from(("compare", "lattice", "limits", "verify")))
+        if command == "verify":
+            suite = data.draw(st.sampled_from(so.SUITE_IDS))
+            argv = ["verify", suite, f"--dim={data.draw(st.integers(2, 4))}", f"--cases={data.draw(st.integers(1, 2))}"]
+        else:
+            doc = fuzz_document(data.draw(st.integers(0, 2**16)), data.draw(st.integers(-300, 307)))
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = [command, f"--input={path}"]
+            if command == "compare":
+                argv.append(f"--names={data.draw(st.sampled_from(('a,b', 'a,a', 'b,a')))}")
+            elif command == "lattice":
+                argv.append(f"--mode={data.draw(st.sampled_from(('sup', 'inf')))}")
+            else:
+                argv.append(f"--formula={data.draw(st.sampled_from(FORMULAS))}")
+        accepted = option_strings(command)
+        drawn = {}
+        for flag in data.draw(st.lists(st.sampled_from(sorted(set(accepted) & set(PROPERTY_VALUES))), unique=True)):
+            drawn[flag] = value = data.draw(st.sampled_from(PROPERTY_VALUES[flag]))
+            argv.append(flag if value is None else f"{flag}={value}")
+        stray = data.draw(st.none() | st.sampled_from(sorted(set(PROPERTY_VALUES) - set(accepted))))
+        if stray is not None:
+            argv += [stray, "1"]
+        unparsable = any(drawn.get(f) in ("nan", "inf") for f in ("--max-doublings", "--probes", "--seed"))
+
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code, usage = main(argv), False
+            except SystemExit as exc:
+                code, usage = exc.code, True
+        err = err.getvalue()
+        where = " ".join(argv)
+        assert usage == (stray is not None or unparsable), where
+        if usage:
+            assert code == 2 and "error: " in err, where
+            return
+        assert code in (0, 2, 3, 4) or (code == 1 and command == "verify"), where
+        if code == 4 and command == "limits" and drawn.get("--format") == "text":  # report on stderr
+            assert out.getvalue() == "" and "\nerror:\n" in err, where
+        else:
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), where
+        if drawn.get("--delta") in ("nan", "inf", "-inf"):
+            assert code == 2, where

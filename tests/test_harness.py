@@ -64,11 +64,19 @@ class TestGenInstances:
             {"dim": 2, "seed": 1, "kind": "bogus"},
             {"dim": 2, "seed": 1, "kind": "orthogonal_family", "count": 3},
             {"dim": 2, "seed": 1, "spectrum_spread": 0.0},
+            {"dim": 2, "seed": 1, "spectrum_spread": float("inf")},
+            {"dim": 2, "seed": 1, "spectrum_spread": float("nan")},
         ],
     )
     def test_invalid_specs(self, kwargs):
         with pytest.raises(errors.InvalidSpecError):
             so.InstanceSpec(**kwargs)
+
+    def test_rejects_negative_seed(self):
+        # A spec's seed may be a suite's master seed, which case_seed maps to
+        # a valid one; only a generator seed must be nonnegative.
+        with pytest.raises(errors.InvalidSpecError, match="seed"):
+            so.gen_instances(so.InstanceSpec(dim=2, seed=-1))
 
 
 class TestCaseSeed:
@@ -139,6 +147,11 @@ class TestMonotoneProbe:
         m = gen(2)[0]
         with pytest.raises(errors.InvalidParameterError):
             so.monotone_probe(m, m, probes=probes)
+
+    def test_rejects_negative_seed(self):
+        m = gen(2)[0]
+        with pytest.raises(errors.InvalidParameterError, match="seed"):
+            so.monotone_probe(m, m, seed=-1)
 
 
 def _reference_functions(wx, wy, scale, probes, seed):

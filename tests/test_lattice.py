@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -181,6 +186,25 @@ class TestLatticeFamily:
         mats = [h(np.diag([b, 1.0])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]
         with pytest.raises(errors.InternalLatticeError, match="not constant"):
             lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
+
+    def test_midpoint_guard_runs_without_assertions(self):
+        # The same input under ``python -O``: the guard is not a debug
+        # check, so the route still refuses instead of answering I.
+        script = (
+            "import numpy as np\n"
+            "import spectralorder as so\n"
+            "mats = [so.make_hermitian(np.diag([b, 1.0])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]\n"
+            "try:\n"
+            "    so.lattice.lattice_family(mats, 'sup', so.Tolerances(cluster_tol=1e-3))\n"
+            "except so.errors.InternalLatticeError as exc:\n"
+            "    assert 'not constant' in str(exc), exc\n"
+            "else:\n"
+            "    raise SystemExit('the lattice route answered')\n"
+        )
+        src = str(Path(so.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_termination_guard(self, monkeypatch):
         # No residual direction is reported as new, so the join stays empty.

@@ -255,7 +255,7 @@ SCALES = [10.0**e for e in range(-12, 13, 3)]
 
 class TestScaleSweep:
     """a * mats for a from 1e-12 to 1e12: the limit is a * (the unit-scale
-    lattice answer) within 1e-6 relative, or a typed error."""
+    lattice answer) within 1e-6 relative."""
 
     MATS = gen(1, dim=6, kind="positive_definite", count=3)
 
@@ -269,13 +269,7 @@ class TestScaleSweep:
 
     @pytest.mark.parametrize("a", SCALES)
     def test_inverse_inf_default_shift(self, a):
-        scaled = [a * m for m in self.MATS]
-        try:
-            out = so.inverse_power_inf(scaled)
-        except errors.NotInvertibleError:
-            # only where the whole set sits below the absolute floor
-            assert max(so.operator_norm(m) for m in scaled) < limits.INVERTIBILITY_FLOOR
-            return
+        out = so.inverse_power_inf([a * m for m in self.MATS])
         want = a * so.spectral_inf(self.MATS)
         assert so.operator_norm(out - want) <= 1e-6 * so.operator_norm(want)
 
@@ -440,6 +434,21 @@ class TestIterateCensus:
                         if n >= 2**6 and err * n > 100.0:
                             bad.append((dim, count, seed, n, err))
         assert not bad
+
+
+class TestNonFiniteShift:
+    """A NaN or infinite shift is a bad parameter, refused before any
+    eigendecomposition, on both power routes."""
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("route", [so.shifted_power_sup, so.inverse_power_inf])
+    def test_refused_before_decomposing(self, monkeypatch, route, delta):
+        def decomposed(m):
+            raise AssertionError("a shift check ran after an eigendecomposition")
+
+        monkeypatch.setattr(limits, "eigensystem", decomposed)
+        with pytest.raises(errors.InvalidParameterError, match="shift must be finite"):
+            route([A13, B22], delta=delta)
 
 
 class TestShiftedPowerSup:
@@ -679,3 +688,16 @@ class TestOrthogonalFormulas:
     def test_rejects_singleton(self):
         with pytest.raises(errors.TooFewElementsError):
             so.orthogonal_sup([so.identity(2)])
+
+    @pytest.mark.parametrize("a", [1e-200, 1e-160, 1e155, 1e200])
+    def test_check_is_scale_free(self, a):
+        # x y of two such elements overflows or underflows; each is taken
+        # over its power-of-two scale first, so the family still answers
+        # and a generic pair is still refused.
+        mats = [a * m for m in gen(1, dim=4, kind="orthogonal_family", count=2)]
+        for formula, lattice_op in ((so.orthogonal_sup, so.spectral_sup), (so.orthogonal_inf, so.spectral_inf)):
+            want = lattice_op(mats)
+            assert so.operator_norm(formula(mats) - want) <= 1e-12 * so.operator_norm(want)
+        x, y = gen(0, kind="generic", count=2)
+        with pytest.raises(errors.NotOrthogonalError):
+            so.orthogonal_sup([a * x, a * y])
