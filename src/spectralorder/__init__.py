@@ -4,131 +4,19 @@ Decide order comparisons, compute suprema and infima of finite matrix sets
 by independent routes (spectral-family lattice formulas, iterative
 power-mean limits, and structure-specific oracles), and run the lattice and
 convergence laws as executable verification suites.
+
+The package re-exports the public names of each module, as listed in its
+``__all__``; the package ``__all__`` is their concatenation.
 """
 
-from .core import (
-    DEFAULT_TOL,
-    EigenSystem,
-    HermitianMatrix,
-    Tolerances,
-    eigensystem,
-    functional_calculus,
-    identity,
-    loewner_leq,
-    make_hermitian,
-    negative_part,
-    operator_norm,
-    positive_part,
-    zero,
-)
-from .family import (
-    OrderVerdict,
-    Projection,
-    SpectralFamily,
-    borderline_gap,
-    evaluate_at,
-    is_projection,
-    reconstruct,
-    spectral_family_of,
-    spectral_leq,
-)
-from .harness import (
-    INSTANCE_KINDS,
-    SUITE_IDS,
-    CaseFailure,
-    InstanceSpec,
-    ProbeVerdict,
-    SuiteReport,
-    VigierReport,
-    case_seed,
-    commuting_oracle,
-    gen_instances,
-    gen_monotone_chain,
-    monotone_probe,
-    power_order_probe,
-    run_suite,
-    vigier_check,
-)
-from .lattice import (
-    OPERATOR_CLASSES,
-    ClosureReport,
-    affine_image,
-    membership_closure_check,
-    order_bounds,
-    spectral_inf,
-    spectral_sup,
-)
-from .limits import (
-    INVERTIBILITY_FLOOR,
-    delta_floor,
-    harmonic_pair_inf,
-    inverse_power_inf,
-    orthogonal_inf,
-    orthogonal_sup,
-    power_inf_iterates,
-    power_sup_iterates,
-    shifted_power_sup,
-)
-from .projections import alternating_meet_oracle, proj_join, proj_leq, proj_meet
+from . import core, family, harness, lattice, limits, projections
+from .core import *  # noqa: F403
+from .family import *  # noqa: F403
+from .projections import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .limits import *  # noqa: F403
+from .harness import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "EigenSystem",
-    "HermitianMatrix",
-    "Tolerances",
-    "eigensystem",
-    "functional_calculus",
-    "identity",
-    "loewner_leq",
-    "make_hermitian",
-    "negative_part",
-    "operator_norm",
-    "positive_part",
-    "zero",
-    "OrderVerdict",
-    "Projection",
-    "SpectralFamily",
-    "borderline_gap",
-    "evaluate_at",
-    "is_projection",
-    "reconstruct",
-    "spectral_family_of",
-    "spectral_leq",
-    "proj_leq",
-    "proj_meet",
-    "proj_join",
-    "alternating_meet_oracle",
-    "OPERATOR_CLASSES",
-    "ClosureReport",
-    "affine_image",
-    "membership_closure_check",
-    "order_bounds",
-    "spectral_inf",
-    "spectral_sup",
-    "INVERTIBILITY_FLOOR",
-    "delta_floor",
-    "harmonic_pair_inf",
-    "inverse_power_inf",
-    "orthogonal_inf",
-    "orthogonal_sup",
-    "power_inf_iterates",
-    "power_sup_iterates",
-    "shifted_power_sup",
-    "INSTANCE_KINDS",
-    "SUITE_IDS",
-    "CaseFailure",
-    "InstanceSpec",
-    "ProbeVerdict",
-    "SuiteReport",
-    "VigierReport",
-    "case_seed",
-    "commuting_oracle",
-    "gen_instances",
-    "gen_monotone_chain",
-    "monotone_probe",
-    "power_order_probe",
-    "run_suite",
-    "vigier_check",
-]
+__all__ = [name for m in (core, family, projections, lattice, limits, harness) for name in m.__all__]

@@ -294,6 +294,28 @@ def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances) -> float:
     return 2.0 * (tol.psd_tol * half)
 
 
+def _check_pairs(
+    mats: Sequence[HermitianMatrix],
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rate: float,
+    fail: Callable[[int, int, float], Exception],
+) -> list[float]:
+    """Operator norms of ``mats``, once every pair has ||product(x / s_x, y / s_y)||
+    <= rate * (u + b), s the :func:`_scale` of each norm, b = (||x|| / s_x)(||y|| / s_y)
+    and u its :func:`_unit`. The division is exact and no product over- or
+    underflows; ``fail(i, j, norm)`` is raised with the norm in the input's units."""
+    norms = [operator_norm(m) for m in mats]
+    scales = [_scale(n) for n in norms]
+    units = [m.entries / s for m, s in zip(mats, scales)]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            value = float(_svd(product(units[i], units[j]), compute_uv=False)[0])
+            bound = (norms[i] / scales[i]) * (norms[j] / scales[j])
+            if value > rate * (_unit(bound) + bound):
+                raise fail(i, j, value * scales[i] * scales[j])
+    return norms
+
+
 def loewner_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Decide x <= y in the Loewner order, i.e. y - x positive semidefinite.
 

@@ -81,16 +81,15 @@ from .core import (
     EigenSystem,
     HermitianMatrix,
     Tolerances,
+    _check_pairs,
     _check_set,
     _eigh,
     _eigvalsh,
     _norm,
     _psd_slack,
     _scale,
-    _svd,
     _unit,
     eigensystem,
-    operator_norm,
     positive_part,
 )
 from .errors import (
@@ -462,24 +461,22 @@ def harmonic_pair_inf(
 
 
 def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
+    """Refuse a set unless every pair is orthogonal: ||x y|| <= 1e-10 * (u + b) on
+    each element over its power-of-two scale (:func:`core._check_pairs`), so the
+    check is relative at every scale and no product over- or underflows."""
     _check_set(mats)
     if len(mats) < 2:
         raise TooFewElementsError(
             "orthogonal-family formulas need at least two elements"
         )
-    # Each element over the power of two at or above its norm: exact, and no product over- or underflows.
-    norms = [operator_norm(m) for m in mats]
-    scales = [_scale(n) for n in norms]
-    units = [m.entries / s for m, s in zip(mats, scales)]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            prod = float(_svd(units[i] @ units[j], compute_uv=False)[0])
-            bound = (norms[i] / scales[i]) * (norms[j] / scales[j])
-            if prod > 1e-10 * (_unit(bound) + bound):
-                raise NotOrthogonalError(
-                    f"elements {i} and {j} are not orthogonal: "
-                    f"||x y|| = {prod * scales[i] * scales[j]:.3e}"
-                )
+    _check_pairs(
+        mats,
+        np.matmul,
+        1e-10,
+        lambda i, j, prod: NotOrthogonalError(
+            f"elements {i} and {j} are not orthogonal: ||x y|| = {prod:.3e}"
+        ),
+    )
 
 
 def orthogonal_sup(mats: Sequence[HermitianMatrix]) -> HermitianMatrix:

@@ -295,6 +295,14 @@ class TestPowerOrderProbe:
         with pytest.raises(errors.NotPositiveError):
             so.power_order_probe(h(np.diag([-1.0, 1.0])), so.identity(2), 2)
 
+    def test_psd_rule_is_loewner_leq_from_zero(self):
+        # lambda_min = -2.5e-9 lies outside psd_tol * (u + ||x||) = 2e-9,
+        # the slack of loewner_leq(0, x) and of the positive class
+        x = h(np.diag([-2.5e-9, 1.0]))
+        assert not so.loewner_leq(so.zero(2), x)
+        with pytest.raises(errors.NotPositiveError):
+            so.power_order_probe(x, so.identity(2))
+
     @pytest.mark.parametrize("max_power", [0, -3])
     def test_rejects_non_positive_max_power(self, max_power):
         with pytest.raises(errors.InvalidParameterError):
@@ -347,6 +355,23 @@ class TestCommutingOracle:
     def test_rejects_empty_family(self):
         with pytest.raises(errors.EmptySetError):
             so.commuting_oracle([], "sup")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [1e-200, 1e-160, 1e155, 1e200])
+    def test_check_is_scale_free(self, a):
+        # x y - y x of two such elements overflows or underflows; each is
+        # taken over its power-of-two scale first, so every family still
+        # answers a times its unit-scale answer and a generic pair is still
+        # refused.
+        for seed in range(20):
+            mats = gen(seed, dim=3, kind="commuting_family", count=2)
+            for mode in ("sup", "inf"):
+                want = so.commuting_oracle(mats, mode)
+                got = so.commuting_oracle([a * m for m in mats], mode)
+                assert so.operator_norm((1.0 / a) * got - want) <= 1e-8 * so.operator_norm(want)
+        x, y = gen(0, dim=3, kind="generic", count=2)
+        with pytest.raises(errors.NotCommutingError):
+            so.commuting_oracle([a * x, a * y], "sup")
 
 
 class TestChains:
