@@ -64,6 +64,7 @@ class Tolerances:
         Cap on the exponent-doubling ladder of the power-mean limit
         formulas, which run over n = 2**k for k = 0..max_power_doublings.
         It is the only setting of that ladder; the stopping rule is fixed.
+        At most 1000, so no exponent overflows the float range.
     """
 
     cluster_tol: float = 1e-8
@@ -78,8 +79,9 @@ class Tolerances:
             raise InvalidParameterError("conv_tol must be positive")
         if not (self.psd_tol >= 0.0):
             raise InvalidParameterError("psd_tol must be nonnegative")
-        if int(self.max_power_doublings) < 1:
-            raise InvalidParameterError("max_power_doublings must be a positive integer")
+        # 2**k * 1454 (1454 ~ max |log(lmax / lmin)| over positive doubles) is finite for k <= 1013
+        if not 1 <= int(self.max_power_doublings) <= 1000:
+            raise InvalidParameterError("max_power_doublings must be an integer from 1 to 1000")
 
 
 DEFAULT_TOL = Tolerances()
@@ -172,17 +174,18 @@ def make_hermitian(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
         If any entry is NaN or infinite.
     NotHermitianError
         If the asymmetry exceeds the tolerance; the message reports the
-        worst entry pair.
+        worst entry pair and half its asymmetry.
     """
     a = np.asarray(raw, dtype=np.complex128)
     h = HermitianMatrix(a)  # rejects non-square, empty and non-finite input
-    worst = np.abs(a - a.conj().T)
+    # in halves, as the constructor forms them, so it stays finite near the float maximum
+    worst = np.abs(0.5 * a - 0.5 * a.conj().T)
     i, j = np.unravel_index(np.argmax(worst), worst.shape)
-    limit = tol.cluster_tol * _scale(float(np.abs(a).max()))
+    limit = 0.5 * tol.cluster_tol * _scale(float(np.abs(a).max()))
     if worst[i, j] > limit:
         raise NotHermitianError(
-            f"asymmetry {worst[i, j]:.3e} at entries ({i},{j})/({j},{i}) "
-            f"exceeds tolerance {limit:.3e}"
+            f"asymmetry |a_ij - conj(a_ji)| / 2 = {worst[i, j]:.3e} at entries "
+            f"({i},{j})/({j},{i}) exceeds cluster_tol * s / 2 = {limit:.3e}"
         )
     return h
 
@@ -303,7 +306,8 @@ def _check_pairs(
     """Operator norms of ``mats``, once every pair has ||product(x / s_x, y / s_y)||
     <= rate * (u + b), s the :func:`_scale` of each norm, b = (||x|| / s_x)(||y|| / s_y)
     and u its :func:`_unit`. The division is exact and no product over- or
-    underflows; ``fail(i, j, norm)`` is raised with the norm in the input's units."""
+    underflows; ``fail(i, j, ratio)`` is raised with ratio = ||product|| / b, the same at
+    every scale: ||product(x, y)|| / (||x|| ||y||)."""
     norms = [operator_norm(m) for m in mats]
     scales = [_scale(n) for n in norms]
     units = [m.entries / s for m, s in zip(mats, scales)]
@@ -312,7 +316,7 @@ def _check_pairs(
             value = float(_svd(product(units[i], units[j]), compute_uv=False)[0])
             bound = (norms[i] / scales[i]) * (norms[j] / scales[j])
             if value > rate * (_unit(bound) + bound):
-                raise fail(i, j, value * scales[i] * scales[j])
+                raise fail(i, j, value / bound)
     return norms
 
 

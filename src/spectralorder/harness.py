@@ -377,8 +377,8 @@ def commuting_oracle(
         mats,
         lambda x, y: x @ y - y @ x,
         1e-8,
-        lambda i, j, comm: NotCommutingError(
-            f"elements {i} and {j} do not commute (||[x,y]|| = {comm:.3e})"
+        lambda i, j, rel: NotCommutingError(
+            f"elements {i} and {j} do not commute (||[x,y]|| / (||x|| ||y||) = {rel:.3e})"
         ),
     )
     rng = np.random.default_rng(seed)
@@ -415,11 +415,9 @@ def gen_monotone_chain(
     if direction not in ("increasing", "decreasing"):
         raise InvalidSpecError(f"unknown direction {direction!r}")
     combine = spectral_inf if direction == "decreasing" else spectral_sup
-    chain = gen_instances(InstanceSpec(dim=dim, seed=case_seed(seed, 0), kind="generic"))
+    chain = _gen(case_seed(seed, 0), dim, "generic")
     for k in range(1, length):
-        bump = gen_instances(
-            InstanceSpec(dim=dim, seed=case_seed(seed, k), kind="generic")
-        )[0]
+        bump = _gen(case_seed(seed, k), dim, "generic")[0]
         chain.append(combine([chain[-1], bump], tol))
     for a, b in zip(chain, chain[1:]):
         lo, hi = (b, a) if direction == "decreasing" else (a, b)
@@ -522,9 +520,19 @@ def _gen(seed: int, dim: int, kind: str, count: int = 1, spread: float = 0.1):
     )
 
 
-def _suite_order_laws(spec: InstanceSpec, cases: int, tol: Tolerances):
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+_Cases = Sequence[tuple[int, int]]  # (index, seed) of every case, derived once by run_suite
+
+
+def _agree(i: int, s: int, prop: str, a, b, bound: float, note: str = ""):
+    """Report ``prop`` for case (i, s) when the matrices a and b are more than ``bound``
+    apart in operator norm, with the deviation as witness."""
+    dev = operator_norm(a - b)
+    if dev > bound:
+        yield CaseFailure(i, s, prop, f"{note}deviation {dev:.3e}")
+
+
+def _suite_order_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
+    for i, s in cases:
         x, r, t = _gen(s, spec.dim, "generic", count=3, spread=spec.spectrum_spread)
         if not spectral_leq(x, x, tol):
             yield CaseFailure(i, s, "reflexivity", "spectral_leq(x, x) failed")
@@ -541,18 +549,13 @@ def _suite_order_laws(spec: InstanceSpec, cases: int, tol: Tolerances):
         bump = rng.standard_normal((spec.dim, spec.dim))
         y = x + HermitianMatrix(1e-12 * (bump + bump.T))
         if spectral_leq(x, y, tol) and spectral_leq(y, x, tol):
-            if operator_norm(x - y) > 2.0 * spec.dim * tol.cluster_tol:
-                yield CaseFailure(i, s, "antisymmetry", "both directions hold but matrices differ")
+            yield from _agree(i, s, "antisymmetry", x, y, 2.0 * spec.dim * tol.cluster_tol)
         else:
             yield CaseFailure(i, s, "antisymmetry", "sub-cluster perturbation changed the verdict")
-        if operator_norm(spectral_sup([x, x], tol) - x) > 1e-8:
-            yield CaseFailure(i, s, "idempotence", "sup(x, x) != x")
+        yield from _agree(i, s, "idempotence", spectral_sup([x, x], tol), x, 1e-8)
         dual = -spectral_sup([-x, -r], tol)
-        if operator_norm(spectral_inf([x, r], tol) - dual) > 1e-8:
-            yield CaseFailure(i, s, "duality", "inf != -sup(negated)")
-        two_step = spectral_sup([u, t], tol)
-        if operator_norm(v - two_step) > 1e-8:
-            yield CaseFailure(i, s, "associativity", "partitioned sup disagrees")
+        yield from _agree(i, s, "duality", spectral_inf([x, r], tol), dual, 1e-8)
+        yield from _agree(i, s, "associativity", v, spectral_sup([u, t], tol), 1e-8)
         order_bounds([x, r, t], tol)  # verifies its own domination claims
         inf3 = spectral_inf([x, r, t], tol)
         for m in (x, r, t):
@@ -561,25 +564,17 @@ def _suite_order_laws(spec: InstanceSpec, cases: int, tol: Tolerances):
                 break
 
 
-def _suite_sup_inf_routes(spec: InstanceSpec, cases: int, tol: Tolerances):
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+def _suite_sup_inf_routes(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
+    for i, s in cases:
         count = 2 + i % 3
         psd = _gen(s, spec.dim, "positive", count=count, spread=spec.spectrum_spread)
-        sup_dev = operator_norm(
-            shifted_power_sup(psd, delta=0.0, tol=tol) - spectral_sup(psd, tol)
-        )
-        if sup_dev > 1e-6:
-            yield CaseFailure(i, s, "route_agreement_sup", f"deviation {sup_dev:.3e}")
+        sup = shifted_power_sup(psd, delta=0.0, tol=tol)
+        yield from _agree(i, s, "route_agreement_sup", sup, spectral_sup(psd, tol), 1e-6)
         pd = _gen(s, spec.dim, "positive_definite", count=count, spread=spec.spectrum_spread)
-        inf_dev = operator_norm(
-            inverse_power_inf(pd, delta=0.0, tol=tol) - spectral_inf(pd, tol)
-        )
-        if inf_dev > 1e-6:
-            yield CaseFailure(i, s, "route_agreement_inf", f"deviation {inf_dev:.3e}")
-        harm_dev = operator_norm(harmonic_pair_inf(pd[0], pd[1], tol=tol) - spectral_inf(pd[:2], tol))
-        if harm_dev > 1e-6:
-            yield CaseFailure(i, s, "route_agreement_harmonic", f"deviation {harm_dev:.3e}")
+        inf = inverse_power_inf(pd, delta=0.0, tol=tol)
+        yield from _agree(i, s, "route_agreement_inf", inf, spectral_inf(pd, tol), 1e-6)
+        harm = harmonic_pair_inf(pd[0], pd[1], tol=tol)
+        yield from _agree(i, s, "route_agreement_harmonic", harm, spectral_inf(pd[:2], tol), 1e-6)
         if i % 4 == 0:
             floor = delta_floor(psd)
             answers = [
@@ -595,9 +590,8 @@ def _suite_sup_inf_routes(spec: InstanceSpec, cases: int, tol: Tolerances):
                 yield CaseFailure(i, s, "delta_invariance", f"spread {worst:.3e}")
 
 
-def _suite_sublattice_closure(spec: InstanceSpec, cases: int, tol: Tolerances):
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+def _suite_sublattice_closure(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
+    for i, s in cases:
         klass = OPERATOR_CLASSES[i % len(OPERATOR_CLASSES)]
         count = 2 + i % 2
         if klass == "unit_ball":
@@ -610,9 +604,8 @@ def _suite_sublattice_closure(spec: InstanceSpec, cases: int, tol: Tolerances):
             yield CaseFailure(i, s, f"closure_{klass}", "; ".join(report.failures))
 
 
-def _suite_vigier(spec: InstanceSpec, cases: int, tol: Tolerances):
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+def _suite_vigier(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
+    for i, s in cases:
         direction = "decreasing" if i % 2 == 0 else "increasing"
         chain = gen_monotone_chain(s, spec.dim, length=8, direction=direction, tol=tol)
         report = vigier_check(chain, tol)
@@ -620,10 +613,9 @@ def _suite_vigier(spec: InstanceSpec, cases: int, tol: Tolerances):
             yield CaseFailure(i, s, f"vigier_{direction}", "; ".join(report.failures))
 
 
-def _suite_monotone_characterization(spec: InstanceSpec, cases: int, tol: Tolerances):
+def _suite_monotone_characterization(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
     gap_found = 0
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+    for i, s in cases:
         x, r = _gen(s, spec.dim, "generic", count=2, spread=spec.spectrum_spread)
         u = spectral_sup([x, r], tol)
         probe = monotone_probe(x, u, probes=16, seed=s, tol=tol)
@@ -647,73 +639,49 @@ def _suite_monotone_characterization(spec: InstanceSpec, cases: int, tol: Tolera
                 gap_found += 1
         elif not spectral_leq(base, bumped, tol):
             gap_found += 1
-    if cases >= 8 and gap_found == 0:
-        yield CaseFailure(
-            cases - 1,
-            case_seed(spec.seed, cases - 1),
-            "gap_search",
-            "no Loewner-but-not-spectral pair found",
-        )
+    if len(cases) >= 8 and gap_found == 0:
+        yield CaseFailure(*cases[-1], "gap_search", "no Loewner-but-not-spectral pair found")
 
 
-def _suite_orthogonal(spec: InstanceSpec, cases: int, tol: Tolerances):
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+def _suite_orthogonal(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
+    for i, s in cases:
         count = 2 + i % 3
         dim = max(spec.dim, count)
         mats = _gen(s, dim, "orthogonal_family", count=count, spread=spec.spectrum_spread)
-        sup_dev = operator_norm(orthogonal_sup(mats) - spectral_sup(mats, tol))
-        if sup_dev > 1e-8:
-            yield CaseFailure(i, s, "orthogonal_sup", f"deviation {sup_dev:.3e}")
-        inf_dev = operator_norm(orthogonal_inf(mats) - spectral_inf(mats, tol))
-        if inf_dev > 1e-8:
-            yield CaseFailure(i, s, "orthogonal_inf", f"deviation {inf_dev:.3e}")
+        yield from _agree(i, s, "orthogonal_sup", orthogonal_sup(mats), spectral_sup(mats, tol), 1e-8)
+        yield from _agree(i, s, "orthogonal_inf", orthogonal_inf(mats), spectral_inf(mats, tol), 1e-8)
 
 
-def _suite_affine_covariance(spec: InstanceSpec, cases: int, tol: Tolerances):
+def _suite_affine_covariance(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
     pairs = ((0.5, -1.0), (2.0, 3.0), (0.5, 3.0), (2.0, -1.0))
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
+    for i, s in cases:
         alpha, beta = pairs[i % len(pairs)]
         mats = _gen(s, spec.dim, "generic", count=2 + i % 2, spread=spec.spectrum_spread)
         mapped = affine_image(mats, alpha, beta)
-        eye = identity(spec.dim)
         for name, op in (("sup", spectral_sup), ("inf", spectral_inf)):
-            direct = op(mapped, tol)
-            routed = alpha * op(mats, tol) + beta * eye
-            dev = operator_norm(direct - routed)
-            if dev > 1e-7:
-                yield CaseFailure(
-                    i, s, f"affine_{name}", f"alpha={alpha}, beta={beta}, deviation {dev:.3e}"
-                )
+            routed = alpha * op(mats, tol) + beta * identity(spec.dim)
+            note = f"alpha={alpha}, beta={beta}, "
+            yield from _agree(i, s, f"affine_{name}", op(mapped, tol), routed, 1e-7, note)
 
 
-def _suite_projection_lattice_laws(spec: InstanceSpec, cases: int, tol: Tolerances):
-    for i in range(cases):
-        s = case_seed(spec.seed, i)
-        rng_specs = [case_seed(s, k) for k in range(3)]
+def _suite_projection_lattice_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
+    for i, s in cases:
         p, q, r = (
-            Projection(_gen(seed, spec.dim, "projection")[0]) for seed in rng_specs
+            Projection(_gen(case_seed(s, k), spec.dim, "projection")[0]) for k in range(3)
         )
-        if operator_norm(proj_meet([p, p], tol).matrix - p.matrix) > 1e-10:
-            yield CaseFailure(i, s, "meet_idempotent", "meet(p, p) != p")
+        yield from _agree(i, s, "meet_idempotent", proj_meet([p, p], tol).matrix, p.matrix, 1e-10)
         ab = proj_meet([p, q], tol)
         ba = proj_meet([q, p], tol)
-        if operator_norm(ab.matrix - ba.matrix) > 1e-10:
-            yield CaseFailure(i, s, "meet_commutative", "order of arguments changed the meet")
+        yield from _agree(i, s, "meet_commutative", ab.matrix, ba.matrix, 1e-10)
         nested = proj_meet([ab, r], tol)
         flat = proj_meet([p, q, r], tol)
-        if operator_norm(nested.matrix - flat.matrix) > 1e-10:
-            yield CaseFailure(i, s, "meet_associative", "nested and flat meets differ")
-        absorbed = proj_join([p, ab], tol)
-        if operator_norm(absorbed.matrix - p.matrix) > 1e-10:
-            yield CaseFailure(i, s, "absorption", "p join (p meet q) != p")
+        yield from _agree(i, s, "meet_associative", nested.matrix, flat.matrix, 1e-10)
+        yield from _agree(i, s, "absorption", proj_join([p, ab], tol).matrix, p.matrix, 1e-10)
         join = proj_join([p, q], tol)
         if not (proj_leq(ab, p, tol) and proj_leq(p, join, tol)):
             yield CaseFailure(i, s, "lattice_bounds", "meet <= p <= join failed")
         oracle = alternating_meet_oracle(p, q, iters=60, tol=tol)
-        if operator_norm(oracle.matrix - ab.matrix) > 10.0 * tol.conv_tol:
-            yield CaseFailure(i, s, "alternating_oracle", "oracle disagrees with meet")
+        yield from _agree(i, s, "alternating_oracle", oracle.matrix, ab.matrix, 10.0 * tol.conv_tol)
         sup_dev = operator_norm(spectral_sup([p.matrix, q.matrix], tol) - join.matrix)
         inf_dev = operator_norm(spectral_inf([p.matrix, q.matrix], tol) - ab.matrix)
         if max(sup_dev, inf_dev) > 1e-8:
@@ -746,8 +714,9 @@ def run_suite(
 ) -> SuiteReport:
     """Run a named verification suite; deterministic in (spec.seed, cases).
 
-    Every case derives its own seed from the master seed and case index, so
-    any failure is reproducible in isolation.
+    The seed of every case is derived here, once, from the master seed and
+    the case index (:func:`case_seed`), so any failure is reproducible in
+    isolation.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(
@@ -755,5 +724,6 @@ def run_suite(
         )
     if cases < 1:
         raise InvalidSpecError("cases must be >= 1")
-    failures = tuple(_SUITES[name](spec, cases, tol))
+    pairs = [(i, case_seed(spec.seed, i)) for i in range(cases)]
+    failures = tuple(_SUITES[name](spec, pairs, tol))
     return SuiteReport(suite=name, cases_run=cases, failures=failures)

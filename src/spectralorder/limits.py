@@ -473,8 +473,8 @@ def _check_orthogonal(mats: Sequence[HermitianMatrix]) -> None:
         mats,
         np.matmul,
         1e-10,
-        lambda i, j, prod: NotOrthogonalError(
-            f"elements {i} and {j} are not orthogonal: ||x y|| = {prod:.3e}"
+        lambda i, j, rel: NotOrthogonalError(
+            f"elements {i} and {j} are not orthogonal: ||x y|| / (||x|| ||y||) = {rel:.3e}"
         ),
     )
 

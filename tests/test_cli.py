@@ -436,6 +436,10 @@ class TestGen:
         doc = matrices_to_document(list(named.items()))
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out.read_text()
 
+    def test_document_refuses_mixed_dimensions(self):
+        with pytest.raises(cli.InputError, match="share a dimension"):
+            matrices_to_document([("a", so.identity(2)), ("b", so.identity(3))])
+
     def test_orthogonal_family(self, tmp_path, capsys):
         out = tmp_path / "orth.json"
         assert main(["gen", "--kind", "orthogonal_family", "--count", "3", "--dim", "6",
@@ -492,10 +496,13 @@ class TestMalformedInput:
             (["lattice", "--mode", "sup", "--tol-psd", "nan"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b", "--probes", "0"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b", "--probes", "-20"], "[[1, 0], [0, 3]]", None),
+            (["limits", "--formula", "kato", "--max-doublings", "1100"], "[[1, 0], [0, 3]]", None),
+            (["compare", "--names", "a,b"], "[[0, 1.7e308], [-1.7e308, 0]]", None),
         ],
         ids=[
             "tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf", "huge_delta",
             "compare_tol_psd_nan", "lattice_tol_psd_nan", "probes_zero", "probes_negative",
+            "max_doublings_above_cap", "asymmetry_near_float_max",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, monkeypatch, command, first, seed_var):
@@ -520,8 +527,16 @@ class TestMalformedInput:
             b'{"format_version": "1", "dim": 1e400, "matrices": []}',
             b'\xff\xfe{"format_version": "1"}',
             b"[" * 100_000 + b"]" * 100_000,
+            b'{"format_version": "2", "dim": 1, "matrices": [{"name": "a", "re": [[1]]}]}',
+            b'{"format_version": "1", "dim": 1, "matrices": [{"re": [[1]]}]}',
+            b'{"format_version": "1", "dim": 1, "matrices": [{"name": "a", "re": [[1]]}, {"name": "a", "re": [[2]]}]}',
+            b'{"format_version": "1", "dim": 2, "matrices": [{"name": "a", "re": [[1]]}]}',
+            b'{"format_version": "1", "dim": 2, "matrices": []}',
         ],
-        ids=["matrices_number", "matrices_null", "dim_overflow", "not_utf8", "nested_too_deep"],
+        ids=[
+            "matrices_number", "matrices_null", "dim_overflow", "not_utf8", "nested_too_deep",
+            "format_version", "malformed_entry", "duplicate_name", "wrong_shape", "no_matrices",
+        ],
     )
     def test_malformed_document_exits_two(self, tmp_path, capsys, document):
         path = tmp_path / "doc.json"

@@ -74,6 +74,13 @@ class TestMakeHermitian:
         assert np.max(np.abs(raw - raw.conj().T)) > so.DEFAULT_TOL.cluster_tol
         assert np.array_equal(so.make_hermitian(raw).entries, so.HermitianMatrix(raw).entries)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_asymmetry_near_float_maximum_is_finite(self):
+        # a - a* would overflow; its halves do not, so the refusal reports a number
+        with pytest.raises(errors.NotHermitianError) as exc:
+            so.make_hermitian([[0, 1.7e308], [-1.7e308, 0]])
+        assert "= 1.700e+308 at entries (0,1)/(1,0)" in str(exc.value)
+
 
 class TestEigensystem:
     def test_sorts_ascending(self):
@@ -262,6 +269,7 @@ class TestTolerances:
     def test_defaults_valid(self):
         t = so.Tolerances()
         assert t.cluster_tol > 0 and t.psd_tol >= 0
+        assert so.Tolerances(max_power_doublings=1000).max_power_doublings == 1000
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -271,11 +279,33 @@ class TestTolerances:
             {"psd_tol": -1e-3},
             {"psd_tol": float("nan")},
             {"max_power_doublings": 0},
+            # 2**k times the largest log-ratio of two positive doubles overflows past k = 1013
+            {"max_power_doublings": 1001},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             so.Tolerances(**kwargs)
+
+
+class TestPairCheckMessage:
+    """A structure-oracle refusal reports ||product|| / (||x|| ||y||), which
+    reads the same at every scale."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [1e-200, 1.0, 1e200])
+    def test_relative_size_at_every_scale(self, a):
+        x, y = so.gen_instances(so.InstanceSpec(dim=3, seed=0, kind="generic", count=2))
+        norm = lambda m: np.linalg.norm(m, 2)  # noqa: E731
+        size = norm(x.entries) * norm(y.entries)
+        for refuse, product in (
+            (so.orthogonal_sup, x.entries @ y.entries),
+            (lambda ms: so.commuting_oracle(ms, "sup"), x.entries @ y.entries - y.entries @ x.entries),
+        ):
+            with pytest.raises((errors.NotOrthogonalError, errors.NotCommutingError)) as exc:
+                refuse([a * x, a * y])
+            reported = float(str(exc.value).rstrip(")").rsplit(" = ", 1)[1])
+            assert reported == pytest.approx(norm(product) / size, rel=1e-3)
 
 
 class TestBareConstructorNonFinite:

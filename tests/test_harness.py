@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import core, errors
+from spectralorder import core, errors, family, lattice, limits, projections
 
 
 def h(rows):
@@ -432,3 +434,135 @@ class TestRunSuite:
         tol = so.Tolerances(cluster_tol=1e-8, psd_tol=1e-30)
         with pytest.raises(errors.InternalLatticeError):
             so.run_suite("order_laws", so.InstanceSpec(dim=3, seed=1), cases=2, tol=tol)
+
+
+def _plus(fn, by):
+    """``fn`` with its answer off by ``by`` times the identity."""
+
+    def wrong(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return out + by * so.identity(out.dim)
+
+    return wrong
+
+
+class _Verdict:
+    """A spectral_leq verdict fixed in advance."""
+
+    def __init__(self, holds):
+        self.holds = holds
+
+    def __bool__(self):
+        return self.holds
+
+
+def _leq(holds):
+    return lambda *args, **kwargs: _Verdict(holds)
+
+
+def _loewner(holds):
+    return lambda *args, **kwargs: holds
+
+
+def _delta_dependent_sup(mats, delta, tol):
+    """The shifted power route with an error that grows with the shift."""
+    out = limits.shifted_power_sup(mats, delta=delta, tol=tol)
+    return out + (1e-3 * delta) * so.identity(out.dim)
+
+
+SUP_UP, SUP_DOWN = _plus(lattice.spectral_sup, 1e-3), _plus(lattice.spectral_sup, -1e-3)
+INF_UP, INF_DOWN = _plus(lattice.spectral_inf, 1e-3), _plus(lattice.spectral_inf, -1e-3)
+# wrong projection meets: zero, the first argument, and the meet of the first two only
+MEET_ZERO = lambda ps, tol: family.Projection(so.zero(ps[0].dim))  # noqa: E731
+MEET_FIRST = lambda ps, tol: ps[0]  # noqa: E731
+MEET_TWO = lambda ps, tol: projections.proj_meet(ps[:2], tol)  # noqa: E731
+LOEWNER_NOT = lambda x, y, tol: not core.loewner_leq(x, y, tol)  # noqa: E731
+
+DEV = r"^deviation \d\.\d{3}e[+-]\d+$"
+AFFINE_DEV = r"^alpha=\S+, beta=\S+, deviation \d\.\d{3}e[+-]\d+$"
+
+# (suite, wrong bindings of spectralorder.harness unless a module is named,
+# tolerances, {property that must then fail: pattern its witness matches, or None})
+WRONG_ANSWERS = [
+    ("order_laws", {"spectral_sup": SUP_UP}, None,
+     {"idempotence": DEV, "duality": DEV, "associativity": DEV}),
+    ("order_laws", {"spectral_sup": SUP_DOWN}, None,
+     {"upper_bound": None, "order_implication": None, "transitivity": None, "idempotence": DEV,
+      "duality": DEV, "associativity": DEV, "loewner_consistency": None}),
+    ("order_laws", {"spectral_leq": _leq(False)}, None,
+     {"reflexivity": None, "upper_bound": None, "transitivity": None,
+      "antisymmetry": "^sub-cluster perturbation changed the verdict$"}),
+    ("order_laws", {"loewner_leq": _loewner(False)}, None,
+     {"order_implication": None, "loewner_consistency": None}),
+    # the 1e-12 perturbation exceeds 2 d cluster_tol only for a tiny cluster_tol
+    ("order_laws", {"spectral_leq": _leq(True)}, so.Tolerances(cluster_tol=1e-14),
+     {"antisymmetry": DEV}),
+    ("sup_inf_routes", {"spectral_sup": SUP_UP}, None, {"route_agreement_sup": DEV}),
+    ("sup_inf_routes", {"spectral_inf": INF_UP}, None,
+     {"route_agreement_inf": DEV, "route_agreement_harmonic": DEV}),
+    ("sup_inf_routes", {"harmonic_pair_inf": _plus(limits.harmonic_pair_inf, 1e-3)}, None,
+     {"route_agreement_harmonic": DEV}),
+    ("sup_inf_routes", {"shifted_power_sup": _delta_dependent_sup}, None,
+     {"delta_invariance": r"^spread "}),
+    ("sublattice_closure", {"lattice.spectral_inf": _plus(lattice.spectral_inf, -2.0)}, None,
+     {f"closure_{klass}": "inf left class" for klass in lattice.OPERATOR_CLASSES}),
+    ("vigier", {"spectral_sup": SUP_UP, "spectral_inf": INF_DOWN}, None,
+     {"vigier_decreasing": "limit differs", "vigier_increasing": "limit differs"}),
+    ("monotone_characterization", {"spectral_sup": SUP_DOWN}, None,
+     {"probe_soundness": "^true pair refuted by "}),
+    ("monotone_characterization", {"loewner_leq": _loewner(False)}, None, {"bump_loewner": None}),
+    # every gap is then missed, so the cross-case search reports too
+    ("monotone_characterization", {"spectral_leq": _leq(True)}, None,
+     {"power_probe_soundness": None, "gap_search": None}),
+    ("orthogonal", {"spectral_sup": SUP_UP}, None, {"orthogonal_sup": DEV}),
+    ("orthogonal", {"spectral_inf": INF_UP}, None, {"orthogonal_inf": DEV}),
+    ("affine_covariance", {"spectral_sup": SUP_UP}, None, {"affine_sup": AFFINE_DEV}),
+    ("affine_covariance", {"spectral_inf": INF_UP}, None, {"affine_inf": AFFINE_DEV}),
+    ("projection_lattice_laws", {"proj_meet": projections.proj_join}, None,
+     {"absorption": DEV, "lattice_bounds": None, "alternating_oracle": DEV,
+      "projection_specialization": "^sup/join dev "}),
+    ("projection_lattice_laws", {"proj_meet": MEET_ZERO}, None,
+     {"meet_idempotent": DEV, "alternating_oracle": DEV, "projection_specialization": None}),
+    ("projection_lattice_laws", {"proj_meet": MEET_FIRST}, None,
+     {"meet_commutative": DEV, "alternating_oracle": DEV, "projection_specialization": None}),
+    ("projection_lattice_laws", {"proj_meet": MEET_TWO}, None, {"meet_associative": DEV}),
+    ("projection_lattice_laws", {"loewner_leq": LOEWNER_NOT}, None,
+     {"projection_order_equivalence": None}),
+]
+
+
+class TestSuitePropertiesCanFail:
+    """Each suite property reports a library answer made wrong on purpose,
+    so none can silently become unfailable."""
+
+    @staticmethod
+    def _run(monkeypatch, suite, wrong, tol=None):
+        for name, fn in wrong.items():
+            monkeypatch.setattr(f"spectralorder.{name if '.' in name else 'harness.' + name}", fn)
+        spec = so.InstanceSpec(dim=3, seed=7)
+        return so.run_suite(suite, spec, cases=8, tol=tol or so.DEFAULT_TOL)
+
+    @pytest.mark.parametrize(
+        "suite, wrong, tol, expected",
+        WRONG_ANSWERS,
+        ids=[f"{w[0]}-{'+'.join(w[1])}-{i}" for i, w in enumerate(WRONG_ANSWERS)],
+    )
+    def test_wrong_answer_is_reported(self, monkeypatch, suite, wrong, tol, expected):
+        report = self._run(monkeypatch, suite, wrong, tol)
+        assert {f.prop for f in report.failures} == set(expected)
+        for f in report.failures:
+            if expected[f.prop] is not None:
+                assert re.search(expected[f.prop], f.witness), (f.prop, f.witness)
+
+    def test_every_suite_is_covered(self):
+        assert {w[0] for w in WRONG_ANSWERS} == set(so.SUITE_IDS)
+
+    def test_gap_missed_by_the_power_probe_still_counts(self, monkeypatch):
+        # the spectral comparison alone then finds every gap; with it always
+        # holding as well, only the cross-case search reports, at the last case
+        never = lambda *args, **kwargs: so.ProbeVerdict(refuted=False)  # noqa: E731
+        suite = "monotone_characterization"
+        assert self._run(monkeypatch, suite, {"power_order_probe": never}).ok
+        report = self._run(monkeypatch, suite, {"power_order_probe": never, "spectral_leq": _leq(True)})
+        assert [(f.case_index, f.prop) for f in report.failures] == [(7, "gap_search")]
+        assert report.failures[0].seed == so.case_seed(7, 7)
