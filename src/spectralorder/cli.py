@@ -300,7 +300,6 @@ def _default_seed() -> int:
 _TOL_FLAGS = {
     "cluster_tol": ("--tol-cluster", float, "relative eigenvalue clustering width"),
     "psd_tol": ("--tol-psd", float, "PSD slack base rate"),
-    "conv_tol": ("--tol-conv", float, "iteration stopping threshold"),
     "max_power_doublings": ("--max-doublings", int, "cap on exponent doublings"),
 }
 

@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+def _is_integer(v) -> bool:
+    """True for an int or numpy integer, the values an integer parameter accepts; not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds governing all operations in the package.
@@ -57,9 +62,6 @@ class Tolerances:
         scale it by (u + ||x|| + ||y||), u from :func:`_unit`, so the slack
         follows the operands at every scale; projection comparisons use
         10 * psd_tol directly since projections have unit scale.
-    conv_tol : float
-        Stopping threshold for fixed-point iterations (the alternating
-        projection oracle).
     max_power_doublings : int
         Cap on the exponent-doubling ladder of the power-mean limit
         formulas, which run over n = 2**k for k = 0..max_power_doublings.
@@ -69,18 +71,15 @@ class Tolerances:
 
     cluster_tol: float = 1e-8
     psd_tol: float = 1e-9
-    conv_tol: float = 1e-8
     max_power_doublings: int = 48
 
     def __post_init__(self) -> None:
-        if not (self.cluster_tol > 0.0):
-            raise InvalidParameterError("cluster_tol must be positive")
-        if not (self.conv_tol > 0.0):
-            raise InvalidParameterError("conv_tol must be positive")
-        if not (self.psd_tol >= 0.0):
-            raise InvalidParameterError("psd_tol must be nonnegative")
+        if not (0.0 < self.cluster_tol < math.inf):
+            raise InvalidParameterError("cluster_tol must be positive and finite")
+        if not (0.0 <= self.psd_tol < math.inf):
+            raise InvalidParameterError("psd_tol must be nonnegative and finite")
         # 2**k * 1454 (1454 ~ max |log(lmax / lmin)| over positive doubles) is finite for k <= 1013
-        if not 1 <= int(self.max_power_doublings) <= 1000:
+        if not (_is_integer(self.max_power_doublings) and 1 <= self.max_power_doublings <= 1000):
             raise InvalidParameterError("max_power_doublings must be an integer from 1 to 1000")
 
 

@@ -23,6 +23,7 @@ from .core import (
     _check_set,
     _eigh,
     _eigvalsh,
+    _is_integer,
     _psd_slack,
     _scale,
     _svd,
@@ -58,7 +59,7 @@ from .limits import (
     orthogonal_sup,
     shifted_power_sup,
 )
-from .projections import alternating_meet_oracle, proj_join, proj_leq, proj_meet
+from .projections import _ORACLE_STOP, alternating_meet_oracle, proj_join, proj_leq, proj_meet
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -110,6 +111,9 @@ class InstanceSpec:
     spectrum_spread: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("dim", "seed", "count"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dim < 1:
             raise InvalidSpecError("dim must be >= 1")
         if self.count < 1:
@@ -302,8 +306,8 @@ def monotone_probe(
     probe stays an independent check of it.
     """
     x._require_same_dim(y)
-    if probes < 1 or seed < 0:
-        raise InvalidParameterError(f"need probes >= 1 and seed >= 0, got {probes} and {seed}")
+    if not (_is_integer(probes) and _is_integer(seed) and probes >= 1 and seed >= 0):
+        raise InvalidParameterError(f"need integers probes >= 1 and seed >= 0, got {probes!r} and {seed!r}")
     ex, ey, scale = _at_unit_scale(eigensystem(x), eigensystem(y))
     fns = _probe_functions(ex, ey, scale, probes, seed)
     first = _first_violation(ex, ey, fns, tol)
@@ -312,13 +316,11 @@ def monotone_probe(
     return ProbeVerdict(refuted=True, witness=fns[first][0], probes_run=len(fns))
 
 
-def power_order_probe(
-    x: HermitianMatrix,
-    y: HermitianMatrix,
-    max_power: int = 4,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ProbeVerdict:
-    """Check x^n <= y^n (Loewner) for n = 1..max_power on PSD operands.
+_MAX_POWER = 4  # the power probe's highest monomial
+
+
+def power_order_probe(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> ProbeVerdict:
+    """Check x^n <= y^n (Loewner) for n = 1.._MAX_POWER on PSD operands.
 
     Monomials are increasing on the positive half-line, so a violation
     soundly refutes the spectral-order comparison. The powers are taken of
@@ -326,8 +328,6 @@ def power_order_probe(
     stacked eigvalsh; the witness is the least failing n.
     """
     x._require_same_dim(y)
-    if max_power < 1:
-        raise InvalidParameterError(f"max_power must be at least 1, got {max_power}")
     ex, ey = eigensystem(x), eigensystem(y)
     for name, es in (("x", ex), ("y", ey)):
         norm = float(np.max(np.abs(es.eigenvalues)))
@@ -336,11 +336,11 @@ def power_order_probe(
     ex, ey, _ = _at_unit_scale(ex, ey)
     powers = [
         (f"power n={n}", lambda s, n=n: np.array([max(v, 0.0) ** n for v in s.tolist()]))
-        for n in range(1, max_power + 1)
+        for n in range(1, _MAX_POWER + 1)
     ]
     first = _first_violation(ex, ey, powers, tol)
     if first is None:
-        return ProbeVerdict(refuted=False, probes_run=max_power)
+        return ProbeVerdict(refuted=False, probes_run=_MAX_POWER)
     return ProbeVerdict(refuted=True, witness=powers[first][0], probes_run=first + 1)
 
 
@@ -356,14 +356,11 @@ def _refine_blocks(
 
 
 def commuting_oracle(
-    mats: Sequence[HermitianMatrix],
-    mode: Literal["sup", "inf"],
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
+    mats: Sequence[HermitianMatrix], mode: Literal["sup", "inf"], tol: Tolerances = DEFAULT_TOL
 ) -> HermitianMatrix:
     """Exact lattice oracle for commuting families via joint diagonalization.
 
-    A seeded random linear combination splits degeneracies; blocks whose
+    A random linear combination, seeded with 0, splits degeneracies; blocks whose
     eigenvalue gaps fall below the cluster width are refined against each
     family member in turn. The result is the entrywise max (sup) or min
     (inf) of the joint eigenvalues, conjugated back. Every pair must commute:
@@ -381,8 +378,7 @@ def commuting_oracle(
             f"elements {i} and {j} do not commute (||[x,y]|| / (||x|| ||y||) = {rel:.3e})"
         ),
     )
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(len(mats))
+    coeffs = np.random.default_rng(0).standard_normal(len(mats))
     probe = sum(c * m.entries for c, m in zip(coeffs, mats))
     top = max(norms)
     ops = [probe] + [m.entries for m in mats]
@@ -436,15 +432,14 @@ class VigierReport:
     failures: tuple[str, ...]
 
 
-def vigier_check(
-    chain: Sequence[HermitianMatrix],
-    tol: Tolerances = DEFAULT_TOL,
-    limit_tol: float = 1e-8,
-) -> VigierReport:
+_LIMIT_TOL = 1e-8  # how far vigier_check lets the limit be from the last element
+
+
+def vigier_check(chain: Sequence[HermitianMatrix], tol: Tolerances = DEFAULT_TOL) -> VigierReport:
     """Check the finite-net shadow of monotone-limit convergence.
 
     For a monotone chain: (a) the lattice inf (or sup) bounds every element,
-    (b) it coincides with the last element within ``limit_tol`` (a finite
+    (b) it coincides with the last element within _LIMIT_TOL = 1e-8 (a finite
     chain attains its limit), and (c) the distances ||x_k - limit|| are
     non-increasing along the chain.
     """
@@ -464,7 +459,7 @@ def vigier_check(
         if not verdict:
             failures.append(f"limit does not bound element {k}")
     gap = operator_norm(limit - chain[-1])
-    if gap > limit_tol:
+    if gap > _LIMIT_TOL:
         failures.append(f"limit differs from last element by {gap:.3e}")
     dists = [operator_norm(x - limit) for x in chain]
     # the largest entry bounds the norm within a factor dim: no eigvalsh
@@ -544,14 +539,18 @@ def _suite_order_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
         v = spectral_sup([x, r, t], tol)
         if not (spectral_leq(u, v, tol) and spectral_leq(x, v, tol)):
             yield CaseFailure(i, s, "transitivity", "sup chain not nested")
-        # antisymmetry at tolerance on a sub-cluster perturbation
-        rng = np.random.default_rng(s)
-        bump = rng.standard_normal((spec.dim, spec.dim))
-        y = x + HermitianMatrix(1e-12 * (bump + bump.T))
-        if spectral_leq(x, y, tol) and spectral_leq(y, x, tol):
-            yield from _agree(i, s, "antisymmetry", x, y, 2.0 * spec.dim * tol.cluster_tol)
-        else:
+        # antisymmetry at tolerance: both verdicts hold for a sub-cluster
+        # perturbation, and not both for one ten times the bound 2 d cluster_tol
+        # at x's scale, the scale the clustering width follows
+        bump = np.random.default_rng(s).standard_normal((spec.dim, spec.dim))
+        bump = HermitianMatrix(bump + bump.T)
+        y = x + 1e-12 * bump
+        if not (spectral_leq(x, y, tol) and spectral_leq(y, x, tol)):
             yield CaseFailure(i, s, "antisymmetry", "sub-cluster perturbation changed the verdict")
+        far = 20.0 * spec.dim * tol.cluster_tol * _scale(operator_norm(x))
+        z = x + (far / operator_norm(bump)) * bump
+        if spectral_leq(x, z, tol) and spectral_leq(z, x, tol):
+            yield CaseFailure(i, s, "antisymmetry", f"both verdicts hold at distance {far:.3e}")
         yield from _agree(i, s, "idempotence", spectral_sup([x, x], tol), x, 1e-8)
         dual = -spectral_sup([-x, -r], tol)
         yield from _agree(i, s, "duality", spectral_inf([x, r], tol), dual, 1e-8)
@@ -631,7 +630,7 @@ def _suite_monotone_characterization(spec: InstanceSpec, cases: _Cases, tol: Tol
         bumped = base + HermitianMatrix(0.5 * np.outer(vec, vec.conj()))
         if not loewner_leq(base, bumped, tol):
             yield CaseFailure(i, s, "bump_loewner", "x <= x + v v* failed")
-        if power_order_probe(base, bumped, max_power=4, tol=tol).refuted:
+        if power_order_probe(base, bumped, tol).refuted:
             # a power refutation must coincide with the comparison failing
             if spectral_leq(base, bumped, tol):
                 yield CaseFailure(i, s, "power_probe_soundness", "refuted a true pair")
@@ -680,8 +679,8 @@ def _suite_projection_lattice_laws(spec: InstanceSpec, cases: _Cases, tol: Toler
         join = proj_join([p, q], tol)
         if not (proj_leq(ab, p, tol) and proj_leq(p, join, tol)):
             yield CaseFailure(i, s, "lattice_bounds", "meet <= p <= join failed")
-        oracle = alternating_meet_oracle(p, q, iters=60, tol=tol)
-        yield from _agree(i, s, "alternating_oracle", oracle.matrix, ab.matrix, 10.0 * tol.conv_tol)
+        oracle = alternating_meet_oracle(p, q, tol)
+        yield from _agree(i, s, "alternating_oracle", oracle.matrix, ab.matrix, 10.0 * _ORACLE_STOP)
         sup_dev = operator_norm(spectral_sup([p.matrix, q.matrix], tol) - join.matrix)
         inf_dev = operator_norm(spectral_inf([p.matrix, q.matrix], tol) - ab.matrix)
         if max(sup_dev, inf_dev) > 1e-8:
@@ -722,8 +721,8 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known suites: {', '.join(SUITE_IDS)}"
         )
-    if cases < 1:
-        raise InvalidSpecError("cases must be >= 1")
+    if not (_is_integer(cases) and cases >= 1):
+        raise InvalidSpecError(f"cases must be an integer >= 1, got {cases!r}")
     pairs = [(i, case_seed(spec.seed, i)) for i in range(cases)]
     failures = tuple(_SUITES[name](spec, pairs, tol))
     return SuiteReport(suite=name, cases_run=cases, failures=failures)

@@ -89,16 +89,17 @@ def proj_join(ps: Sequence[Projection], tol: Tolerances = DEFAULT_TOL) -> Projec
     return Projection.onto(_span(ranges, tol), dim)
 
 
-def alternating_meet_oracle(
-    p: Projection,
-    q: Projection,
-    iters: int = 60,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Projection:
+# The alternating oracle stops once successive iterates are closer than
+# _ORACLE_STOP, and gives up after _ORACLE_SQUARINGS squarings.
+_ORACLE_STOP = 1e-8
+_ORACLE_SQUARINGS = 60
+
+
+def alternating_meet_oracle(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Independent cross-check of proj_meet for a pair: the norm limit of
     (p q p)^(2^j), computed by repeated squaring.
 
-    Stops when successive iterates differ by less than conv_tol. Raises
+    Stops when successive iterates differ by less than _ORACLE_STOP. Raises
     NoConvergenceError, carrying the last iterate and residual, when the
     squaring cap is hit first.
     """
@@ -106,15 +107,15 @@ def alternating_meet_oracle(
     m = p.entries @ q.entries @ p.entries
     m = (m + m.conj().T) / 2.0
     residual = np.inf
-    for _ in range(int(iters)):
+    for _ in range(_ORACLE_SQUARINGS):
         nxt = m @ m
         nxt = (nxt + nxt.conj().T) / 2.0
         residual = float(_svd(nxt - m, compute_uv=False)[0])
         m = nxt
-        if residual < tol.conv_tol:
+        if residual < _ORACLE_STOP:
             return Projection(HermitianMatrix(m))
     raise NoConvergenceError(
-        f"alternating meet did not converge in {iters} squarings "
+        f"alternating meet did not converge in {_ORACLE_SQUARINGS} squarings "
         f"(last residual {residual:.3e})",
         last_iterate=m,
         residual=residual,

@@ -115,7 +115,7 @@ def test_criterion_05_loewner_spectral_gap():
         y = so.make_hermitian([[1.5, 0.5], [0.5, 0.5]])
         assert so.loewner_leq(x, y)
         assert not so.spectral_leq(x, y).holds
-        probe = so.power_order_probe(x, y, 2)
+        probe = so.power_order_probe(x, y)
         assert probe.refuted and probe.witness == "power n=2"
 
         dims = (2, 3, 4, 5, 6)
@@ -178,7 +178,7 @@ def test_criterion_07_projection_lattice():
             dev_inf = so.operator_norm(so.spectral_inf([p.matrix, q.matrix]) - meet.matrix)
             worst_route = max(worst_route, dev_sup, dev_inf)
             assert max(dev_sup, dev_inf) < 1e-8, f"case {i} (seed {seed})"
-            oracle = so.alternating_meet_oracle(p, q, iters=60)
+            oracle = so.alternating_meet_oracle(p, q)
             dev_o = so.operator_norm(oracle.matrix - meet.matrix)
             worst_oracle = max(worst_oracle, dev_o)
             assert dev_o < 1e-7, f"case {i} (seed {seed}): oracle deviation {dev_o:.3e}"
@@ -209,7 +209,7 @@ def test_criterion_08_vigier_chains():
             seed = so.case_seed(909, i)
             for direction in ("decreasing", "increasing"):
                 chain = so.gen_monotone_chain(seed, dim=4, length=20, direction=direction)
-                report = so.vigier_check(chain, limit_tol=1e-8)
+                report = so.vigier_check(chain)
                 assert report.ok, f"chain {i} ({direction}, seed {seed}): {report.failures}"
         print("  50 chains x 2 directions: limit = last element, distances monotone")
 

@@ -55,18 +55,19 @@ FORMULA_FLAGS = {"--delta": ("shifted", "inverse"), "--normalize": ("kato", "shi
 FORMULAS = ("kato", "shifted", "inverse", "harmonic", "orthosum")
 
 # The tolerance flags, and those that each report command takes: the flags of
-# the Tolerances fields it reads.
+# the Tolerances fields it reads. --tol-conv, the flag of a field since
+# removed, is taken by none.
 FLAG_FIELDS = {
     "--tol-cluster": "cluster_tol",
     "--tol-psd": "psd_tol",
-    "--tol-conv": "conv_tol",
+    "--tol-conv": None,
     "--max-doublings": "max_power_doublings",
 }
 COMMAND_TOL_FLAGS = {
     "compare": {"--tol-cluster", "--tol-psd"},
     "lattice": {"--tol-cluster", "--tol-psd"},
     "limits": {"--tol-cluster", "--tol-psd", "--max-doublings"},
-    "verify": set(FLAG_FIELDS),
+    "verify": {"--tol-cluster", "--tol-psd", "--max-doublings"},
 }
 
 
@@ -498,11 +499,14 @@ class TestMalformedInput:
             (["compare", "--names", "a,b", "--probes", "-20"], "[[1, 0], [0, 3]]", None),
             (["limits", "--formula", "kato", "--max-doublings", "1100"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b"], "[[0, 1.7e308], [-1.7e308, 0]]", None),
+            (["lattice", "--mode", "sup", "--tol-cluster", "inf"], "[[1, 0], [0, 3]]", None),
+            (["compare", "--names", "a,b", "--tol-psd", "inf"], "[[1, 0], [0, 3]]", None),
         ],
         ids=[
             "tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf", "huge_delta",
             "compare_tol_psd_nan", "lattice_tol_psd_nan", "probes_zero", "probes_negative",
-            "max_doublings_above_cap", "asymmetry_near_float_max",
+            "max_doublings_above_cap", "asymmetry_near_float_max", "lattice_tol_cluster_inf",
+            "compare_tol_psd_inf",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, monkeypatch, command, first, seed_var):
@@ -733,7 +737,7 @@ class TestScaleFuzz:
 FLOAT_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-12", "0.5", "1e300")
 INT_VALUES = ("0", "-1", "1", "3", "nan", "inf")
 PROPERTY_VALUES = {
-    **{flag: FLOAT_VALUES for flag in ("--tol-cluster", "--tol-psd", "--tol-conv", "--delta", "--spread")},
+    **{flag: FLOAT_VALUES for flag in ("--tol-cluster", "--tol-psd", "--delta", "--spread")},
     **{flag: INT_VALUES for flag in ("--max-doublings", "--probes", "--seed")},
     "--format": ("json", "text"),
     "--normalize": (None,),
@@ -799,5 +803,6 @@ class TestCliProperty:
             assert out.getvalue() == "" and "\nerror:\n" in err, where
         else:
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), where
-        if drawn.get("--delta") in ("nan", "inf", "-inf"):
+        non_finite = ("nan", "inf", "-inf")
+        if any(drawn.get(flag) in non_finite for flag in ("--tol-cluster", "--tol-psd", "--delta")):
             assert code == 2, where

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -270,17 +272,26 @@ class TestTolerances:
         t = so.Tolerances()
         assert t.cluster_tol > 0 and t.psd_tol >= 0
         assert so.Tolerances(max_power_doublings=1000).max_power_doublings == 1000
+        assert so.Tolerances(max_power_doublings=np.int64(3)).max_power_doublings == 3
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(so.Tolerances)]
+        assert names == ["cluster_tol", "psd_tol", "max_power_doublings"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"cluster_tol": 0.0},
-            {"conv_tol": -1.0},
+            {"cluster_tol": float("inf")},
             {"psd_tol": -1e-3},
             {"psd_tol": float("nan")},
             {"max_power_doublings": 0},
             # 2**k times the largest log-ratio of two positive doubles overflows past k = 1013
             {"max_power_doublings": 1001},
+            {"psd_tol": float("inf")},
+            {"max_power_doublings": 2.7},
+            {"max_power_doublings": 3.0},
+            {"max_power_doublings": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -1,6 +1,9 @@
 """The package's public surface: it re-exports each module's ``__all__`` and
-nothing else, and importing it loads only the library modules."""
+nothing else, importing it loads only the library modules, and every name
+the benchmark's tracer wraps exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -51,3 +54,17 @@ def test_import_loads_only_the_library_modules():
     ]
     assert loaded == repr(expected)
     assert argparse_loaded == "False"
+
+
+def test_benchmark_tracer_names_resolve():
+    # bench/tracing.py imports only the standard library; it wraps these names
+    # with getattr, so a name deleted from the package would break only a traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(layer, name) for layer, names in tracing.LAYER_FUNCTIONS.items() for name in names]
+    wrapped += [("limits", name) for name in tracing.ITERATE_FUNCTIONS] + [("lattice", "lattice_family")]
+    for layer, name in wrapped:
+        module = importlib.import_module(f"spectralorder.{layer}")
+        assert callable(getattr(module, name, None)), f"{layer}.{name}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import errors
+from spectralorder import errors, projections
 
 from near_alignment import NEAR_ANGLES, near_aligned_pair
 
@@ -122,7 +122,7 @@ class TestAlternatingOracle:
     def test_distinct_lines_decay_to_zero(self):
         # p q p has top eigenvalue 1/2 on the relevant subspace, so the
         # squared iterates decay geometrically to the zero projection
-        out = so.alternating_meet_oracle(P_E1, P_DIAGLINE, iters=60)
+        out = so.alternating_meet_oracle(P_E1, P_DIAGLINE)
         assert so.operator_norm(out.matrix) < 1e-8
 
     def test_commuting_single_step(self):
@@ -134,16 +134,17 @@ class TestAlternatingOracle:
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_meet(self, seed):
         p, q = seeded_pair(seed)
-        oracle = so.alternating_meet_oracle(p, q, iters=60)
+        oracle = so.alternating_meet_oracle(p, q)
         meet = so.proj_meet([p, q])
-        assert so.operator_norm(oracle.matrix - meet.matrix) <= 10 * so.DEFAULT_TOL.conv_tol
+        assert so.operator_norm(oracle.matrix - meet.matrix) <= 10 * projections._ORACLE_STOP
 
-    def test_no_convergence_reports_residual(self):
+    def test_no_convergence_reports_residual(self, monkeypatch):
         theta = 1e-2  # slow geometric rate (1 - theta^2)^(2^j), cap hit at 2 squarings
         w = np.array([np.cos(theta), np.sin(theta)])
         q = so.Projection(h(np.outer(w, w)))
-        with pytest.raises(errors.NoConvergenceError) as exc:
-            so.alternating_meet_oracle(P_E1, q, iters=2)
+        monkeypatch.setattr(projections, "_ORACLE_SQUARINGS", 2)
+        with pytest.raises(errors.NoConvergenceError, match="in 2 squarings") as exc:
+            so.alternating_meet_oracle(P_E1, q)
         assert exc.value.residual > 0
         assert exc.value.last_iterate is not None
 
