@@ -245,9 +245,12 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     Evaluates both families at every point of the merged, clustered
     breakpoint grid and checks E^y_lambda <= E^x_lambda there. Checking the
     grid suffices: both families are right-continuous step functions and
-    constant between merged breakpoints. On failure the verdict reports the
-    smallest failing breakpoint and the defect ||p - q p||, read off the
-    cross-Gram matrix of the two eigenbases (see the module docstring).
+    constant between merged breakpoints. A defect counts when it exceeds
+    10 * psd_tol plus the eigenvector rounding of both cuts at that point
+    (:func:`_cut_rounding`), so no verdict rests on rounding alone. On
+    failure the verdict reports the smallest failing breakpoint and the
+    defect ||p - q p||, read off the cross-Gram matrix of the two eigenbases
+    (see the module docstring).
     """
     x._require_same_dim(y)
     fx = spectral_family_of(x, tol)
@@ -260,12 +263,29 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     # fro2[i, j] = ||g[i:, :j]||_F^2, summed from the bottom-left corner.
     fro2 = np.zeros((x.dim + 1, x.dim + 1))
     fro2[:-1, 1:] = np.cumsum(np.cumsum(np.abs(g[::-1]) ** 2, axis=0)[::-1], axis=1)
-    thr = 10.0 * tol.psd_tol
+    thr = 10.0 * tol.psd_tol + _cut_rounding(fx)[rx] + _cut_rounding(fy)[ry]
     for i in np.flatnonzero(fro2[rx, ry] > thr * thr):
         defect = float(_svd(g[rx[i]:, : ry[i]], compute_uv=False)[0])
-        if defect > thr:
+        if defect > thr[i]:
             return OrderVerdict(holds=False, witness_lambda=float(grid[i]), defect=defect)
     return OrderVerdict(holds=True)
+
+
+def _cut_rounding(f: SpectralFamily) -> np.ndarray:
+    """Rounding of the family's value at each rank r = 0..d: 4 eps / g, g the
+    gap over s (the :func:`_scale` of the largest |lambda|) between the
+    breakpoints on either side of the cut after column r, the eigenvector
+    error bound of Davis and Kahan (SIAM J. Numer. Anal. 7, 1970); 0 at ranks
+    0 and d, which cut nothing. A cut narrower than about 4 eps s gets more
+    than 1, which no defect (a sine) exceeds: rounding leaves its side
+    undecided, and the verdict is the one a cluster width spanning it gives.
+    The constructions (the lattice walk, proj_meet, proj_join) count
+    directions at the strict 10 psd_tol: a strict count only moves their
+    answers outward, so those bound the inputs without this allowance."""
+    bp = f.breakpoints
+    out = np.zeros(f.dim + 1)
+    out[f.ranks[:-1]] = 4.0 * np.finfo(float).eps / np.diff(bp / _scale(max(-bp[0], bp[-1])))
+    return out
 
 
 def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -406,8 +406,8 @@ def gen_monotone_chain(
     """Build a spectral-order monotone chain by repeated inf (or sup) with
     fresh seeded generic matrices; monotonicity then holds by the lattice
     laws and is asserted."""
-    if length < 2:
-        raise InvalidSpecError("chain length must be >= 2")
+    if not (_is_integer(length) and length >= 2):
+        raise InvalidSpecError(f"chain length must be an integer >= 2, got {length!r}")
     if direction not in ("increasing", "decreasing"):
         raise InvalidSpecError(f"unknown direction {direction!r}")
     combine = spectral_inf if direction == "decreasing" else spectral_sup
@@ -539,16 +539,20 @@ def _suite_order_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
         v = spectral_sup([x, r, t], tol)
         if not (spectral_leq(u, v, tol) and spectral_leq(x, v, tol)):
             yield CaseFailure(i, s, "transitivity", "sup chain not nested")
-        # antisymmetry at tolerance: both verdicts hold for a sub-cluster
-        # perturbation, and not both for one ten times the bound 2 d cluster_tol
-        # at x's scale, the scale the clustering width follows
+        # antisymmetry at tolerance: both verdicts hold for a perturbation of
+        # 1e-3 min(cluster_tol, psd_tol), which moves no eigenvalue across a
+        # cluster width and turns a generic eigenbasis well below the
+        # 10 psd_tol containment threshold, and not both for one ten times the
+        # bound 2 d cluster_tol; each at x's scale, which the clustering width follows
         bump = np.random.default_rng(s).standard_normal((spec.dim, spec.dim))
         bump = HermitianMatrix(bump + bump.T)
-        y = x + 1e-12 * bump
+        scale, bump_norm = _scale(operator_norm(x)), operator_norm(bump)
+        near = 1e-3 * min(tol.cluster_tol, tol.psd_tol) * scale
+        y = x + (near / bump_norm) * bump
         if not (spectral_leq(x, y, tol) and spectral_leq(y, x, tol)):
             yield CaseFailure(i, s, "antisymmetry", "sub-cluster perturbation changed the verdict")
-        far = 20.0 * spec.dim * tol.cluster_tol * _scale(operator_norm(x))
-        z = x + (far / operator_norm(bump)) * bump
+        far = 20.0 * spec.dim * tol.cluster_tol * scale
+        z = x + (far / bump_norm) * bump
         if spectral_leq(x, z, tol) and spectral_leq(z, x, tol):
             yield CaseFailure(i, s, "antisymmetry", f"both verdicts hold at distance {far:.3e}")
         yield from _agree(i, s, "idempotence", spectral_sup([x, x], tol), x, 1e-8)

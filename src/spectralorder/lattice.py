@@ -5,9 +5,12 @@ E^sup_lambda = meet_i E^{x_i}_lambda. With finitely many matrices it is a
 step function on the merged breakpoint grid, already right continuous, so
 the pointwise formula reconstructs the answer exactly up to clustering. The
 right-continuity regularization needed for infinite sets is a structural
-no-op here; a guard, run on every call, verifies step constancy at
-interval midpoints. Negation reverses the spectral order, so the infimum is
--sup(-x) and needs no code of its own.
+no-op here. Each grid point is the largest value of its merged cluster, so
+it sits at or above every input eigenvalue it stands for: the meet there
+lies below every input's family value, and the answer bounds every input by
+construction. Negation reverses the spectral order, so the infimum is
+-sup(-x), whose grid takes each cluster's smallest value, and needs no code
+of its own.
 
 By De Morgan, 1 - E^sup_lambda is the join of the input ranges above
 lambda, and that join is built from the top of the grid down. The inputs are
@@ -17,8 +20,9 @@ cluster, largest value first, the columns the inputs have there are
 projected off the join built so far; the left singular vectors of that
 residual with singular values above 10 * psd_tol leave the join, and the
 supremum takes the cluster's value on them. That is the containment rule of
-:func:`spectralorder.family.spectral_leq`: singular values of a residual are
-sines of angles, so inputs a small angle apart stay apart down to the
+:func:`spectralorder.family.spectral_leq`, less the allowance for
+eigenvector rounding that only a comparison needs: singular values of a
+residual are sines of angles, so inputs a small angle apart stay apart down to the
 threshold (eigenvalues of a sum of projections would lose them at the
 angle squared). A direction read off a small singular value carries the
 projection's rounding divided by it, so the new unit directions are
@@ -30,9 +34,9 @@ The cost is one eigendecomposition per input and one reduced d x c SVD for
 each cluster visited, c the number of columns the cluster brings, with none
 below the cluster where the join reaches rank d; no eigendecomposition
 follows the inputs' and no dense projection is formed. Two guards raise
-:class:`InternalLatticeError`: every input must have rank d at the top grid
-point, so the walk terminates, and no cluster may add more directions than
-d - rank, which a threshold below the projection's rounding would do.
+:class:`InternalLatticeError`: no cluster may add more directions than
+d - rank, which a threshold below the projection's rounding would do, and
+the join must reach rank d by the top-down walk's end.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from .errors import (
 )
 from .family import (
     SpectralFamily,
+    _clusters,
     _is_projection_spectrum,
-    cluster_values,
     reconstruct,
     spectral_family_of,
     spectral_leq,
@@ -104,12 +108,9 @@ def lattice_family(
         If ``mode`` is neither ``"sup"`` nor ``"inf"``.
     InternalLatticeError
         If an input's eigenvectors are not orthonormal within cluster_tol,
-        an input does not reach rank d at the top grid point, a cluster
-        adds more directions than the join has room for, the join does not
-        end at the whole space, or the family is not constant between grid
-        points (checked wherever nesting does not already force the value).
-        That signals a tolerance misconfiguration and is never repaired by
-        re-sorting.
+        a cluster adds more directions than the join has room for, or the
+        join does not end at the whole space. That signals a tolerance
+        misconfiguration and is never repaired by re-sorting.
     """
     if mode == "sup":
         return _sup_family(mats, tol)
@@ -132,38 +133,16 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
             raise InternalLatticeError(
                 f"eigenvectors of input {i} are not orthonormal within cluster_tol"
             )
-    # One width over all inputs; the threshold acts on unit columns, as in
-    # spectral_leq.
-    spectra = [f.breakpoints for f in families]
-    width = _cluster_width(tol, *spectra)
-    grid = cluster_values(np.concatenate(spectra), width)
-    thr = 10.0 * tol.psd_tol
-
-    def ranks_at(lams: np.ndarray, reach: float) -> np.ndarray:
-        return np.stack([f.ranks_at(lams, reach) for f in families], axis=1)
-
-    grid_ranks = ranks_at(grid, width)
-    if np.any(grid_ranks[-1] != dim):
-        raise InternalLatticeError("lattice family does not terminate at the identity")
+    # Each grid point is its cluster's largest value, so every input counts
+    # the whole cluster there and has rank d at the top one.
+    vals = np.sort(np.concatenate([f.breakpoints for f in families]))
+    grid = vals[_clusters(vals, _cluster_width(tol, vals))[1] - 1]
+    grid_ranks = np.stack([f.ranks_at(grid, 0.0) for f in families], axis=1)
     # Input columns with eigenvalues in cluster j: below[j]..grid_ranks[j].
     below = np.vstack((np.zeros_like(grid_ranks[:1]), grid_ranks[:-1]))
-    # Step constancy between grid points (the finite-set shadow of the
-    # right-continuity regularization), keyed by the cluster above the
-    # midpoint. Skip near-merged gaps where the evaluation slack could
-    # legitimately cross a breakpoint, and midpoints where every input has
-    # the lower grid point's rank, since the value there is the same
-    # computation.
-    half = 0.5 * grid  # halved, no midpoint or gap overflows
-    mid_ranks = ranks_at(half[:-1] + half[1:], 0.0)
-    wide = np.diff(half) >= 5.0 * width
-    changed = np.any(mid_ranks != grid_ranks[:-1], axis=1)
-    midpoints = {j + 1: mid_ranks[j] for j in np.flatnonzero(wide & changed)}
-
-    def count_new(resid: np.ndarray) -> tuple[np.ndarray, int]:
-        """Left singular vectors of ``resid``, largest first, and how many
-        of them leave the join: those with singular values above ``thr``."""
-        u, s, _ = _svd(resid, full_matrices=False)
-        return u, int(np.count_nonzero(s > thr))
+    # The threshold acts on unit columns: the strict one, without
+    # spectral_leq's rounding allowance (see family._cut_rounding).
+    thr = 10.0 * tol.psd_tol
 
     # The last ``rank`` columns of q span the join of the input ranges above
     # the clusters passed so far; the sup's family value is their complement.
@@ -175,7 +154,8 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
         cols = np.concatenate([f.vectors[:, a:b] for f, a, b in zip(families, lo, hi)], axis=1)
         join = q[:, dim - rank :]
         resid = cols - join @ (join.conj().T @ cols)
-        u, new = count_new(resid)
+        u, sv, _ = _svd(resid, full_matrices=False)
+        new = int(np.count_nonzero(sv > thr))
         if new > dim - rank:
             raise InternalLatticeError(
                 f"lattice join gained {new} directions with {dim - rank} left; "
@@ -183,12 +163,6 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
             )
         if not new:
             continue
-        # Columns above the midpoint add no fewer directions than the whole
-        # cluster exactly when the family is constant below it.
-        if j in midpoints:
-            above = np.concatenate([np.arange(a, b) >= m for a, b, m in zip(lo, hi, midpoints[j])])
-            if count_new(resid[:, above])[1] != new:
-                raise InternalLatticeError("lattice family is not constant between merged breakpoints")
         breakpoints.append(float(grid[j]))
         ranks.append(dim - rank)
         # A direction read off a small singular value carries the

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import spectralorder as so
 from spectralorder import errors
+from spectralorder.core import _scale
 from spectralorder.family import SpectralFamily, cluster_values
 
 
@@ -196,23 +197,46 @@ class TestSpectralLeq:
         assert so.operator_norm(back - m) < 1e-9
 
 
+def cut_rounding(sf, lam):
+    """4 eps s / g for the cut that sf's value at lam makes, g the gap
+    across it and s the scale of sf's largest |lambda|; 0 where it cuts
+    nothing."""
+    bp = sf.breakpoints
+    k = np.searchsorted(bp, lam, side="right")
+    if k in (0, bp.size):
+        return 0.0
+    return 4.0 * np.finfo(float).eps * _scale(np.abs(bp).max()) / (bp[k] - bp[k - 1])
+
+
 def dense_leq(x, y, tol=so.DEFAULT_TOL):
     """Reference for spectral_leq: the dense family values on the merged
-    grid and the defect ||p - q p|| of each pair of them."""
+    grid, the defect ||p - q p|| of each pair of them, and a threshold of
+    10 psd_tol plus the cut rounding of each operand there."""
     sf_x, sf_y = so.spectral_family_of(x, tol), so.spectral_family_of(y, tol)
-    grid = cluster_values(
-        np.concatenate([sf_x.breakpoints, sf_y.breakpoints]), tol.cluster_tol
-    )
-    for lam in grid:
-        p = so.evaluate_at(sf_y, lam + tol.cluster_tol).entries
-        q = so.evaluate_at(sf_x, lam + tol.cluster_tol).entries
+    breakpoints = np.concatenate([sf_x.breakpoints, sf_y.breakpoints])
+    width = tol.cluster_tol * _scale(np.abs(breakpoints).max())
+    for lam in cluster_values(breakpoints, width):
+        p = so.evaluate_at(sf_y, lam + width).entries
+        q = so.evaluate_at(sf_x, lam + width).entries
         defect = float(np.linalg.norm(p - q @ p, 2))
-        if defect > 10.0 * tol.psd_tol:
+        rounding = cut_rounding(sf_x, lam + width) + cut_rounding(sf_y, lam + width)
+        if defect > 10.0 * tol.psd_tol + rounding:
             return False, float(lam), defect
     return True, None, None
 
 
 def seeded_pairs():
+    # Eigenvalues about one cluster width apart, where the grid's clustering
+    # and the rounding allowance decide the verdicts.
+    for kind, count, seed in (("positive", 2, 3), ("generic", 3, 16)):
+        spec = so.InstanceSpec(dim=4, seed=seed, kind=kind, count=count, spectrum_spread=1e6)
+        mats = so.gen_instances(spec)
+        sup, inf = so.spectral_sup(mats), so.spectral_inf(mats)
+        for m in mats:
+            yield m, sup
+            yield inf, m
+        yield mats[0], mats[1]
+        yield mats[1], mats[0]
     for seed in range(6):
         for kind in ("generic", "positive", "projection"):
             dim = 3 + seed
@@ -265,6 +289,18 @@ class TestCompactComparison:
         assert so.spectral_leq(x, top).holds
         assert so.spectral_leq(r, top).holds
         assert exact == []
+
+    @pytest.mark.parametrize("gap, holds", [(2.0**-52, True), (1e-10, False)])
+    def test_cut_inside_rounding_is_undecided(self, gap, holds):
+        # At cluster_tol 1e-17 both gaps are cuts and y swaps x's
+        # eigenvectors across them, a defect of 1. Across one ulp the
+        # rounding allowance exceeds 1, so both verdicts hold, as they do at
+        # a width that merges the pair; across 1e-10 the swap counts.
+        x, y = h(np.diag([1.0 + gap, 1.0])), h(np.diag([1.0, 1.0 + gap]))
+        tol = so.Tolerances(cluster_tol=1e-17)
+        assert so.spectral_family_of(x, tol).ranks.tolist() == [1, 2]
+        assert so.spectral_leq(x, y, tol).holds == so.spectral_leq(y, x, tol).holds == holds
+        assert dense_leq(x, y, tol)[0] == holds
 
     @pytest.mark.parametrize(
         "angle, psd_tol, holds",

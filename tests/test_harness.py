@@ -396,6 +396,8 @@ class TestChains:
     def test_rejects_short_chain(self):
         with pytest.raises(errors.InvalidSpecError):
             so.gen_monotone_chain(seed=1, dim=3, length=1)
+        with pytest.raises(errors.InvalidSpecError, match="integer"):
+            so.gen_monotone_chain(seed=1, dim=3, length=2.5)
 
 
 class TestVigierCheck:
@@ -430,10 +432,18 @@ class TestRunSuite:
         with pytest.raises(errors.InvalidSpecError, match="cases"):
             so.run_suite("order_laws", so.InstanceSpec(dim=3, seed=7), cases=cases)
 
-    @pytest.mark.parametrize("spread", [1e-3, 1e3, 1e5])
+    @pytest.mark.parametrize("spread", [1e-3, 1e3, 1e5, 1e6])
     def test_order_laws_pass_at_any_spread(self, spread):
         # the spread sets x's scale, and the antisymmetry distance follows it
         report = so.run_suite("order_laws", so.InstanceSpec(dim=4, seed=7, spectrum_spread=spread), cases=6)
+        assert report.ok, [f.to_dict() for f in report.failures]
+
+    @pytest.mark.parametrize("cluster_tol", [1e-14, 1e-6, 1e-4, 1e-3])
+    def test_order_laws_pass_at_any_cluster_width(self, cluster_tol):
+        # the near antisymmetry perturbation stays below both the cluster
+        # width and the containment threshold, the far one follows the width
+        tol = so.Tolerances(cluster_tol=cluster_tol)
+        report = so.run_suite("order_laws", so.InstanceSpec(dim=4, seed=7), cases=6, tol=tol)
         assert report.ok, [f.to_dict() for f in report.failures]
 
     def test_unknown_suite(self):

@@ -1,14 +1,10 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import spectralorder as so
 from spectralorder import errors
 from spectralorder import family, lattice, projections
+from spectralorder.core import _scale
 from spectralorder.family import cluster_values
 
 from near_alignment import NEAR_ANGLES, near_aligned_pair
@@ -30,16 +26,20 @@ P_DIAG = h([[0.5, 0.5], [0.5, 0.5]])
 
 def dense_lattice(mats, mode, tol=so.DEFAULT_TOL):
     """The paper's definition, independent of lattice_family: every input
-    family evaluated on the merged grid, combined by the projection meet
-    (sup) or join (inf), and rebuilt as sum lambda_i (P_i - P_{i-1})."""
+    family evaluated at the top of each merged cluster, where it counts the
+    whole cluster, combined by the projection meet (sup) or join (inf), and
+    rebuilt as sum lambda_i (P_i - P_{i-1}), lambda_i the cluster's largest
+    value (sup) or smallest (inf)."""
     families = [so.spectral_family_of(m, tol) for m in mats]
-    grid = cluster_values(np.concatenate([f.breakpoints for f in families]), tol.cluster_tol)
+    vals = np.sort(np.concatenate([f.breakpoints for f in families]))
+    cut = np.flatnonzero(np.diff(vals) > tol.cluster_tol * _scale(np.abs(vals).max()))
+    lows, highs = vals[np.r_[0, cut + 1]], vals[np.r_[cut, vals.size - 1]]
     combine = so.proj_meet if mode == "sup" else so.proj_join
     out = np.zeros((mats[0].dim,) * 2, dtype=complex)
     prev = np.zeros_like(out)
-    for lam in grid:
-        p = combine([so.evaluate_at(f, lam + tol.cluster_tol) for f in families], tol).entries
-        out += lam * (p - prev)
+    for low, high in zip(lows, highs):
+        p = combine([so.evaluate_at(f, high) for f in families], tol).entries
+        out += (high if mode == "sup" else low) * (p - prev)
         prev = p
     return out
 
@@ -178,47 +178,11 @@ class TestLatticeFamily:
         with pytest.raises(errors.InternalLatticeError, match="2 directions with 1 left"):
             lattice.lattice_family([x, x], "sup")
 
-    def test_midpoint_guard(self):
-        # Breakpoints 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into one grid
-        # point at their mean, but the last lies beyond the evaluation
-        # slack. At the next midpoint all four inputs contain e1, so the
-        # meet jumps between grid points.
-        mats = [h(np.diag([b, 1.0])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]
-        with pytest.raises(errors.InternalLatticeError, match="not constant"):
-            lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
-
-    def test_midpoint_guard_runs_without_assertions(self):
-        # The same input under ``python -O``: the guard is not a debug
-        # check, so the route still refuses instead of answering I.
-        script = (
-            "import numpy as np\n"
-            "import spectralorder as so\n"
-            "mats = [so.make_hermitian(np.diag([b, 1.0])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]\n"
-            "try:\n"
-            "    so.lattice.lattice_family(mats, 'sup', so.Tolerances(cluster_tol=1e-3))\n"
-            "except so.errors.InternalLatticeError as exc:\n"
-            "    assert 'not constant' in str(exc), exc\n"
-            "else:\n"
-            "    raise SystemExit('the lattice route answered')\n"
-        )
-        src = str(Path(so.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-
     def test_termination_guard(self, monkeypatch):
         # No residual direction is reported as new, so the join stays empty.
         monkeypatch.setattr(lattice, "_svd", lambda a, **kwargs: (a, np.zeros(a.shape[1]), None))
         with pytest.raises(errors.InternalLatticeError, match="terminate"):
             lattice.lattice_family(gen(4, count=2), "sup")
-
-    def test_top_cluster_must_hold_every_input(self):
-        # Top eigenvalues 0, 0.9, 1.8 and 2.7 (times 1e-3) chain into the
-        # top grid point, whose evaluation slack misses the last one, so
-        # that input never reaches rank d.
-        mats = [h(np.diag([-1.0, b])) for b in (0.0, 0.9e-3, 1.8e-3, 2.7e-3)]
-        with pytest.raises(errors.InternalLatticeError, match="terminate"):
-            lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
 
     def test_checks_input_eigenbases_once(self):
         # Roundoff in the eigenvectors exceeds a cluster_tol of 1e-18.
@@ -271,24 +235,71 @@ class TestWalkEdges:
         assert sf.breakpoints.tolist() == [1.0] and sf.ranks.tolist() == [2]
         assert [len(calls[n]) for n in ("eigh", "eigvalsh", "svd")] == [2, 0, 1]
 
-    def test_bracket_midpoint_is_checked(self):
-        # Input i has eigenvalue 0.9e-3 * i on e1, -4e-3 * (i + 1) on a unit
-        # vector v_i of the (e2, e3) plane (v_0..v_3 at 45 degree steps, so
-        # no two share a line) and 1 on the rest. At cluster_tol 1e-3 the
-        # grid is -16e-3, -12e-3, -8e-3, -4e-3, the chained cluster at
-        # 1.35e-3 and 1; every gap but the last is below ten cluster
-        # widths. The meet is zero up to the cluster, where the walk ends,
-        # and at the next midpoint all four inputs contain e1.
-        mats = []
-        for i in range(4):
-            t = i * np.pi / 4
-            basis = np.array(
-                [[1, 0, 0], [0, np.cos(t), -np.sin(t)], [0, np.sin(t), np.cos(t)]]
-            )
-            vals = [0.9e-3 * i, -4e-3 * (i + 1), 1.0]
-            mats.append(so.make_hermitian(basis @ np.diag(vals) @ basis.T))
-        with pytest.raises(errors.InternalLatticeError, match="not constant"):
-            lattice.lattice_family(mats, "sup", so.Tolerances(cluster_tol=1e-3))
+
+# Eigenvalues 0, 0.9, 1.8 and 2.7 (times 1e-3), one per input, chain into one
+# grid cluster at cluster_tol 1e-3 although its ends lie 2.7 widths apart.
+CHAIN = (0.0, 0.9e-3, 1.8e-3, 2.7e-3)
+
+
+def bracket_set():
+    """Input i has eigenvalue CHAIN[i] on e1, -4e-3 * (i + 1) on a unit
+    vector v_i of the (e2, e3) plane (v_0..v_3 at 45 degree steps, so no two
+    share a line) and 1 on the rest. At cluster_tol 1e-3 every grid gap but
+    the last is below ten cluster widths, and the meet is zero up to the
+    chained cluster."""
+    mats = []
+    for i, b in enumerate(CHAIN):
+        t = i * np.pi / 4
+        basis = np.array([[1, 0, 0], [0, np.cos(t), -np.sin(t)], [0, np.sin(t), np.cos(t)]])
+        mats.append(so.make_hermitian(basis @ np.diag([b, -4e-3 * (i + 1), 1.0]) @ basis.T))
+    return mats
+
+
+class TestClusterBand:
+    """Inputs whose eigenvalues agree to about the cluster width. Each grid
+    point is its cluster's largest value, so it lies above every input
+    eigenvalue it stands for and the answers bound every input."""
+
+    CHAINED_SETS = {
+        "bottom": ([h(np.diag([b, 1.0])) for b in CHAIN], [2.7e-3, 1.0]),
+        "top": ([h(np.diag([-1.0, b])) for b in CHAIN], [-1.0, 2.7e-3]),
+        "bracket": (bracket_set(), [2.7e-3, 1.0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("name", CHAINED_SETS)
+    def test_chained_cluster_takes_its_largest_value(self, name):
+        mats, want = self.CHAINED_SETS[name]
+        tol = so.Tolerances(cluster_tol=1e-3)
+        sup = so.spectral_sup(mats, tol)
+        assert so.operator_norm(sup - h(np.diag(want))) <= 1e-12
+        for m in mats:
+            assert so.spectral_leq(m, sup, tol).holds and so.loewner_leq(m, sup, tol)
+
+    # Sets whose merged clusters hold distinct values, so the value each
+    # cluster takes shows in the answer.
+    @pytest.mark.parametrize("kind, count, seed", [("positive", 2, 2), ("generic", 3, 11)])
+    @pytest.mark.parametrize("mode", ["sup", "inf"])
+    def test_matches_pointwise_dense_definition(self, kind, count, seed, mode):
+        spec = so.InstanceSpec(dim=4, seed=seed, kind=kind, count=count, spectrum_spread=1e6)
+        mats = so.gen_instances(spec)
+        op = so.spectral_sup if mode == "sup" else so.spectral_inf
+        ref = dense_lattice(mats, mode)
+        assert np.linalg.norm(op(mats).entries - ref, 2) <= 1e-10 * (1.0 + np.linalg.norm(ref, 2))
+
+    @pytest.mark.parametrize("kind", ("positive", "generic"))
+    @pytest.mark.parametrize("spread", (1e6, 1e7))
+    def test_answers_bound_every_input(self, spread, kind):
+        # At these spreads many of the seeds have eigenvalues about one
+        # cluster width apart.
+        for count in (2, 3, 4):
+            for seed in range(20):
+                spec = so.InstanceSpec(dim=4, seed=seed, kind=kind, count=count, spectrum_spread=spread)
+                mats = so.gen_instances(spec)
+                sup, inf = so.spectral_sup(mats), so.spectral_inf(mats)
+                for m in mats:
+                    for lo, hi in ((m, sup), (inf, m)):
+                        assert so.spectral_leq(lo, hi).holds, (count, seed)
+                        assert so.loewner_leq(lo, hi), (count, seed)
 
 
 class TestCostModel:
@@ -302,9 +313,6 @@ class TestCostModel:
             np.concatenate([f.breakpoints for f in families]), tol.cluster_tol
         )
 
-        def ranks(lam, slack):
-            return [so.evaluate_at(f, lam + slack).rank for f in families]
-
         # The meet ranks by the dense definition: the walk visits the grid
         # from the top down to the first nonzero meet, where the join of
         # the ranges above reaches rank d.
@@ -314,21 +322,13 @@ class TestCostModel:
         ]
         first = next(i for i, r in enumerate(meet_ranks) if r > 0)
         assert 0 < first < len(grid) - 1
-        # Midpoints of wide gaps where some input changes rank, below a
-        # cluster that adds directions, are the only ones the
-        # step-constancy check recomputes; elsewhere nesting forces them.
-        recomputed = sum(
-            ranks(0.5 * (grid[i - 1] + grid[i]), 0.0) != ranks(grid[i - 1], tol.cluster_tol)
-            for i in range(first, len(grid))
-            if grid[i] - grid[i - 1] >= 10.0 * tol.cluster_tol
-            and meet_ranks[i] > meet_ranks[i - 1]
-        )
         calls = counting(monkeypatch, "eigh", "eigvalsh", "svd")
         so.spectral_sup(mats)
         assert len(calls["eigh"]) == len(mats)
         assert calls["eigvalsh"] == []
-        # Every cluster of a generic set brings columns.
-        assert len(calls["svd"]) == (len(grid) - first) + recomputed
+        # Every cluster of a generic set brings columns, and each visited
+        # cluster makes one SVD.
+        assert len(calls["svd"]) == len(grid) - first
 
     def test_lattice_family_never_revalidates_projections(self, monkeypatch):
         calls = []
