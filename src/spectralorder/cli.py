@@ -295,19 +295,16 @@ def _default_seed() -> int:
         raise InputError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-# The flag of each Tolerances field. A report command takes the flags of the
-# fields it reads; main fills the others from the library defaults.
+# The flag of each Tolerances field; every report command reads both fields.
 _TOL_FLAGS = {
-    "cluster_tol": ("--tol-cluster", float, "relative eigenvalue clustering width"),
-    "psd_tol": ("--tol-psd", float, "PSD slack base rate"),
-    "max_power_doublings": ("--max-doublings", int, "cap on exponent doublings"),
+    "cluster_tol": ("--tol-cluster", "relative eigenvalue clustering width"),
+    "psd_tol": ("--tol-psd", "PSD slack base rate"),
 }
 
 
-def _add_report_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
-    for field in fields:
-        flag, kind, text = _TOL_FLAGS[field]
-        parser.add_argument(flag, dest=field, type=kind, default=getattr(DEFAULT_TOL, field), help=text)
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    for field, (flag, text) in _TOL_FLAGS.items():
+        parser.add_argument(flag, dest=field, type=float, default=getattr(DEFAULT_TOL, field), help=text)
     parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
 
@@ -323,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--input", required=True, help="matrix-set document (JSON)")
     p_compare.add_argument("--names", required=True, help="two comma-separated names")
     p_compare.add_argument("--probes", type=int, default=24, help="monotone probe count")
-    _add_report_flags(p_compare, "cluster_tol", "psd_tol")
+    _add_report_flags(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_lattice = sub.add_parser("lattice", help="supremum or infimum of named matrices")
@@ -331,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("--names", default=None, help="comma-separated names (default: all)")
     p_lattice.add_argument("--mode", choices=("sup", "inf"), required=True)
     p_lattice.add_argument("--output", default=None, help="write result document here")
-    _add_report_flags(p_lattice, "cluster_tol", "psd_tol")
+    _add_report_flags(p_lattice)
     p_lattice.set_defaults(func=cmd_lattice)
 
     p_limits = sub.add_parser("limits", help="run an iterative limit formula and report residuals")
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_limits.add_argument("--delta", type=float, default=None, help="shift override (shifted, inverse)")
     p_limits.add_argument("--normalize", action="store_true", help="arithmetic mean (kato, shifted, inverse)")
-    _add_report_flags(p_limits, "cluster_tol", "psd_tol", "max_power_doublings")
+    _add_report_flags(p_limits)
     p_limits.set_defaults(func=cmd_limits)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -350,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=4)
     p_verify.add_argument("--cases", type=int, default=50)
     p_verify.add_argument("--spread", type=float, default=0.1, help="minimum eigenvalue gap")
-    _add_report_flags(p_verify, *_TOL_FLAGS)
+    _add_report_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded matrix-set document")

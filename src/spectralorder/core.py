@@ -62,25 +62,16 @@ class Tolerances:
         scale it by (u + ||x|| + ||y||), u from :func:`_unit`, so the slack
         follows the operands at every scale; projection comparisons use
         10 * psd_tol directly since projections have unit scale.
-    max_power_doublings : int
-        Cap on the exponent-doubling ladder of the power-mean limit
-        formulas, which run over n = 2**k for k = 0..max_power_doublings.
-        It is the only setting of that ladder; the stopping rule is fixed.
-        At most 1000, so no exponent overflows the float range.
     """
 
     cluster_tol: float = 1e-8
     psd_tol: float = 1e-9
-    max_power_doublings: int = 48
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cluster_tol < math.inf):
             raise InvalidParameterError("cluster_tol must be positive and finite")
         if not (0.0 <= self.psd_tol < math.inf):
             raise InvalidParameterError("psd_tol must be nonnegative and finite")
-        # 2**k * 1454 (1454 ~ max |log(lmax / lmin)| over positive doubles) is finite for k <= 1013
-        if not (_is_integer(self.max_power_doublings) and 1 <= self.max_power_doublings <= 1000):
-            raise InvalidParameterError("max_power_doublings must be an integer from 1 to 1000")
 
 
 DEFAULT_TOL = Tolerances()

@@ -93,7 +93,12 @@ _U64 = (1 << 64) - 1
 
 
 def case_seed(master: int, index: int) -> int:
-    """Derived seed for one case of a suite (SplitMix64-style mixing)."""
+    """Derived seed for one case of a suite (SplitMix64-style mixing), from
+    integers ``master`` and ``index`` that are both >= 0."""
+    if not (_is_integer(master) and _is_integer(index) and master >= 0 and index >= 0):
+        raise InvalidSpecError(
+            f"case seeds need integers master >= 0 and index >= 0, got {master!r} and {index!r}"
+        )
     z = (int(master) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _U64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
@@ -367,8 +372,11 @@ def commuting_oracle(
     ||x y - y x|| <= 1e-8 * (u + b) on each element over its power-of-two
     scale (:func:`core._check_pairs`), so the check is relative at every
     scale and no commutator over- or underflows. The off-diagonal check and
-    the width follow the family's scale.
+    the width follow the family's scale. A ``mode`` other than ``"sup"`` or
+    ``"inf"`` raises :class:`InvalidParameterError` before any work.
     """
+    if mode not in ("sup", "inf"):
+        raise InvalidParameterError(f"mode must be 'sup' or 'inf', got {mode!r}")
     dim = _check_set(mats)
     norms = _check_pairs(
         mats,
@@ -580,17 +588,9 @@ def _suite_sup_inf_routes(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
         yield from _agree(i, s, "route_agreement_harmonic", harm, spectral_inf(pd[:2], tol), 1e-6)
         if i % 4 == 0:
             floor = delta_floor(psd)
-            answers = [
-                shifted_power_sup(psd, delta=floor - off, tol=tol)
-                for off in (0.0, 1.0, 10.0)
-            ]
-            worst = max(
-                operator_norm(a - b)
-                for a in answers
-                for b in answers
-            )
-            if worst > 1e-6:
-                yield CaseFailure(i, s, "delta_invariance", f"spread {worst:.3e}")
+            a, b, c = (shifted_power_sup(psd, delta=floor - off, tol=tol) for off in (0.0, 1.0, 10.0))
+            for one, other in ((a, b), (a, c), (b, c)):
+                yield from _agree(i, s, "delta_invariance", one, other, 1e-6)
 
 
 def _suite_sublattice_closure(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
@@ -685,12 +685,10 @@ def _suite_projection_lattice_laws(spec: InstanceSpec, cases: _Cases, tol: Toler
             yield CaseFailure(i, s, "lattice_bounds", "meet <= p <= join failed")
         oracle = alternating_meet_oracle(p, q, tol)
         yield from _agree(i, s, "alternating_oracle", oracle.matrix, ab.matrix, 10.0 * _ORACLE_STOP)
-        sup_dev = operator_norm(spectral_sup([p.matrix, q.matrix], tol) - join.matrix)
-        inf_dev = operator_norm(spectral_inf([p.matrix, q.matrix], tol) - ab.matrix)
-        if max(sup_dev, inf_dev) > 1e-8:
-            yield CaseFailure(
-                i, s, "projection_specialization", f"sup/join dev {sup_dev:.3e}, inf/meet dev {inf_dev:.3e}"
-            )
+        pq = [p.matrix, q.matrix]
+        prop = "projection_specialization"
+        yield from _agree(i, s, prop, spectral_sup(pq, tol), join.matrix, 1e-8, "sup/join ")
+        yield from _agree(i, s, prop, spectral_inf(pq, tol), ab.matrix, 1e-8, "inf/meet ")
         if spectral_leq(p.matrix, q.matrix, tol).holds != loewner_leq(p.matrix, q.matrix, tol):
             yield CaseFailure(i, s, "projection_order_equivalence", "orders disagree on projections")
 

@@ -15,12 +15,11 @@ of its own.
 By De Morgan, 1 - E^sup_lambda is the join of the input ranges above
 lambda, and that join is built from the top of the grid down. The inputs are
 :class:`spectralorder.family.SpectralFamily` objects (eigenvectors plus
-cumulative ranks), checked once for orthonormal eigenvectors. At each grid
-cluster, largest value first, the columns the inputs have there are
-projected off the join built so far; the left singular vectors of that
-residual with singular values above 10 * psd_tol leave the join, and the
-supremum takes the cluster's value on them. That is the containment rule of
-:func:`spectralorder.family.spectral_leq`, less the allowance for
+cumulative ranks). At each grid cluster, largest value first, the columns
+the inputs have there are projected off the join built so far; the left
+singular vectors of that residual with singular values above 10 * psd_tol
+leave the join, and the supremum takes the cluster's value on them. That is
+the containment rule of :func:`spectralorder.family.spectral_leq`, less the allowance for
 eigenvector rounding that only a comparison needs: singular values of a
 residual are sines of angles, so inputs a small angle apart stay apart down to the
 threshold (eigenvalues of a sum of projections would lose them at the
@@ -33,10 +32,11 @@ construction, and the walk stops once the join is the whole space.
 The cost is one eigendecomposition per input and one reduced d x c SVD for
 each cluster visited, c the number of columns the cluster brings, with none
 below the cluster where the join reaches rank d; no eigendecomposition
-follows the inputs' and no dense projection is formed. Two guards raise
+follows the inputs' and no dense projection is formed. Three guards raise
 :class:`InternalLatticeError`: no cluster may add more directions than
-d - rank, which a threshold below the projection's rounding would do, and
-the join must reach rank d by the top-down walk's end.
+d - rank, which a threshold below the projection's rounding would do, the
+join must reach rank d by the top-down walk's end, and the basis it built
+must be orthonormal within cluster_tol, which :func:`reconstruct` requires.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def lattice_family(
     InvalidParameterError
         If ``mode`` is neither ``"sup"`` nor ``"inf"``.
     InternalLatticeError
-        If an input's eigenvectors are not orthonormal within cluster_tol,
-        a cluster adds more directions than the join has room for, or the
-        join does not end at the whole space. That signals a tolerance
+        If a cluster adds more directions than the join has room for, the
+        join does not end at the whole space, or the basis it built is not
+        orthonormal within cluster_tol. That signals a tolerance
         misconfiguration and is never repaired by re-sorting.
     """
     if mode == "sup":
@@ -125,14 +125,6 @@ def lattice_family(
 def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFamily:
     dim = _check_set(mats)
     families = [spectral_family_of(m, tol) for m in mats]
-    # Orthonormal eigenvectors make every cut of them a projection, so the
-    # values built from them need no validation of their own.
-    eye = np.eye(dim)
-    for i, f in enumerate(families):
-        if np.linalg.norm(f.vectors.conj().T @ f.vectors - eye) > tol.cluster_tol:
-            raise InternalLatticeError(
-                f"eigenvectors of input {i} are not orthonormal within cluster_tol"
-            )
     # Each grid point is its cluster's largest value, so every input counts
     # the whole cluster there and has rank d at the top one.
     vals = np.sort(np.concatenate([f.breakpoints for f in families]))
@@ -175,6 +167,8 @@ def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFam
             break
     if rank != dim:
         raise InternalLatticeError("lattice family does not terminate at the identity")
+    if np.linalg.norm(q.conj().T @ q - np.eye(dim)) > tol.cluster_tol:
+        raise InternalLatticeError("lattice family basis is not orthonormal within cluster_tol")
     return SpectralFamily(np.asarray(breakpoints[::-1]), q, np.asarray(ranks[::-1]))
 
 

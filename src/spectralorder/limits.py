@@ -40,11 +40,11 @@ window that keeps all its rows rotates none, as emitted rows are never read
 again; a partial one rotates the rows it leaves behind in a private copy, since
 R and its table serve the whole ladder. Iterates map columns back by Q.
 
-The exponents run over n = 2**k for k = 0..``tol.max_power_doublings``; that
-cap is the only setting of the ladder. The error of the iterate A_n is about
-c/n plus exponentially small terms (Kato, Linear Multilinear Algebra 8,
-1979), so the plain Cauchy residual ||A_n - A_{n/2}|| falls below 1e-9 only
-near n = 2**30. :func:`run_schedule` instead stops on the Richardson
+The exponents run over n = 2**k for k = 0..``_MAX_DOUBLINGS`` = 48; the
+ladder has no setting. The error of the iterate A_n is about c/n plus
+exponentially small terms (Kato, Linear Multilinear Algebra 8, 1979), so the
+plain Cauchy residual ||A_n - A_{n/2}|| falls below 1e-9 only near n = 2**30.
+:func:`run_schedule` instead stops on the Richardson
 extrapolant E_n = 2 A_n - A_{n/2}, which cancels the c/n term: at the first
 n with ||E_n - E_{n/2}|| < ``_STOP_TOL * (u + ||E_n||)`` (fixed
 ``_STOP_TOL = 1e-9``) it returns E_n, typically near n = 2**19. The unit
@@ -127,6 +127,7 @@ _RESIDUAL_CLAMP = 1e-12  # starting direction error, relative to the factor norm
 _FRO_MARGIN = 1.0 + 1e-9  # lifts a computed Frobenius norm above any
 #                           computed 2-norm of the same matrix
 _STOP_TOL = 1e-9  # stopping rule: ||E_n - E_{n/2}|| < _STOP_TOL (u + ||E_n||)
+_MAX_DOUBLINGS = 48  # the ladder's last exponent is 2**_MAX_DOUBLINGS
 
 
 @contextlib.contextmanager
@@ -224,12 +225,11 @@ def _graded_root_pairs(
 
 def _power_mean_roots(
     eigs: Sequence[tuple[np.ndarray, np.ndarray]],
-    max_doublings: int,
     normalize: bool,
     inv_sign: float,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (n, value logs, columns), the eigenpairs of (sum_y y^n / c)^(inv_sign / n)
-    for n = 2**k, k = 0..max_doublings, from the (eigenvalues, eigenvectors) of
+    for n = 2**k, k = 0.._MAX_DOUBLINGS, from the (eigenvalues, eigenvectors) of
     each y. Only strictly positive eigenvalues contribute; c = len(eigs) if
     ``normalize``."""
     w = np.concatenate([vals for vals, _ in eigs])
@@ -245,7 +245,7 @@ def _power_mean_roots(
     log_c = math.log(len(eigs)) if normalize else 0.0
     log_scale = inv_sign * math.log(scale)
     tables = _residual_tables(r)
-    for n in (2**k for k in range(int(max_doublings) + 1)):
+    for n in (2**k for k in range(_MAX_DOUBLINGS + 1)):
         root_logs, cols = _graded_root_pairs(n * logs - log_c, r, inv_sign / n, tables)
         yield n, root_logs + log_scale, q @ cols
 
@@ -326,7 +326,7 @@ def _power_iterates(
     tol: Tolerances,
 ) -> Iterator[tuple[int, HermitianMatrix]]:
     """Yield (n, c I + (sum_x (x - c I)^(sign n) / m)^(sign / n)) for n = 2**k,
-    k = 0..tol.max_power_doublings, with c = sign * delta and m = len(mats) if
+    k = 0.._MAX_DOUBLINGS, with c = sign * delta and m = len(mats) if
     ``normalize``, else 1. sign = +1 is the supremum route, whose default c is the
     floor; sign = -1 is the infimum route, whose default delta is max(0, s - floor).
 
@@ -361,7 +361,7 @@ def _power_iterates(
             f"shift {delta} is too large: its rounding exceeds the stopping rule"
         )
     factors = [((es.eigenvalues / s - c) ** sign, es.eigenvectors) for es in systems]
-    for n, logs, cols in _power_mean_roots(factors, tol.max_power_doublings, normalize, sign):
+    for n, logs, cols in _power_mean_roots(factors, normalize, sign):
         if sign < 0 and cols.shape[1] < dim:
             raise EigenFailureError(
                 "inverse power mean lost rank; shifted inputs are too close "
@@ -379,7 +379,7 @@ def power_sup_iterates(
     tol: Tolerances = DEFAULT_TOL,
 ) -> Iterator[tuple[int, HermitianMatrix]]:
     """Yield (n, delta I + (sum_x (x - delta I)^n / c)^(1/n)) for n = 2**k,
-    k = 0..tol.max_power_doublings.
+    k = 0.._MAX_DOUBLINGS.
 
     This is the trace surface behind :func:`shifted_power_sup`; the CLI runs
     it through :func:`run_schedule` to report per-exponent residuals.
@@ -409,7 +409,7 @@ def shifted_power_sup(
     DeltaTooLargeError
         If delta exceeds the floor, so some x - delta I is not PSD.
     NoConvergenceError
-        If the stopping rule is not met by n = 2**max_power_doublings; the
+        If the stopping rule is not met by n = 2**_MAX_DOUBLINGS; the
         error carries the last iterate and residual trace.
     """
     limit, _ = run_schedule(power_sup_iterates(mats, delta, normalize, tol), "power-mean supremum")

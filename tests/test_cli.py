@@ -55,19 +55,19 @@ FORMULA_FLAGS = {"--delta": ("shifted", "inverse"), "--normalize": ("kato", "shi
 FORMULAS = ("kato", "shifted", "inverse", "harmonic", "orthosum")
 
 # The tolerance flags, and those that each report command takes: the flags of
-# the Tolerances fields it reads. --tol-conv, the flag of a field since
-# removed, is taken by none.
+# the Tolerances fields it reads. --tol-conv and --max-doublings, the flags of
+# fields since removed, are taken by none.
 FLAG_FIELDS = {
     "--tol-cluster": "cluster_tol",
     "--tol-psd": "psd_tol",
     "--tol-conv": None,
-    "--max-doublings": "max_power_doublings",
+    "--max-doublings": None,
 }
 COMMAND_TOL_FLAGS = {
     "compare": {"--tol-cluster", "--tol-psd"},
     "lattice": {"--tol-cluster", "--tol-psd"},
-    "limits": {"--tol-cluster", "--tol-psd", "--max-doublings"},
-    "verify": {"--tol-cluster", "--tol-psd", "--max-doublings"},
+    "limits": {"--tol-cluster", "--tol-psd"},
+    "verify": {"--tol-cluster", "--tol-psd"},
 }
 
 
@@ -301,17 +301,16 @@ class TestLimits:
         assert code == 2
         assert err.startswith("error: InvalidParameterError: shift must be finite") and err.count("\n") == 1
 
-    def test_no_convergence_exit_four(self, positive_path, capsys):
-        code, rep = run(
-            capsys, "limits", "--input", positive_path, "--formula", "kato", "--max-doublings", "3"
-        )
+    def test_no_convergence_exit_four(self, positive_path, capsys, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
+        code, rep = run(capsys, "limits", "--input", positive_path, "--formula", "kato")
         assert code == 4
         assert rep["error"]["type"] == "NoConvergence"
         assert [t["n"] for t in rep["error"]["residual_trace"]] == [2, 4, 8]
 
-    def test_no_convergence_reports_extrapolant_residuals(self, positive_path, capsys):
-        argv = ["limits", "--input", positive_path, "--formula", "kato", "--max-doublings", "3"]
-        code, rep = run(capsys, *argv)
+    def test_no_convergence_reports_extrapolant_residuals(self, positive_path, capsys, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
+        code, rep = run(capsys, "limits", "--input", positive_path, "--formula", "kato")
         assert code == 4
         ext = [t["extrapolant_residual"] for t in rep["error"]["residual_trace"]]
         assert ext[0] is None and all(e > 0.0 for e in ext[1:])
@@ -371,14 +370,16 @@ class TestPipeline:
             (["compare", "--input", "FIXTURE", "--names", "x,y"], 0),
             (["lattice", "--input", "FIXTURE", "--mode", "sup"], 0),
             (["limits", "--input", "FIXTURE", "--names", "a,p", "--formula", "kato"], 0),
-            (["limits", "--input", "POSITIVE", "--formula", "kato", "--max-doublings", "3"], 4),
+            (["limits", "--input", "POSITIVE", "--formula", "kato"], 4),
             (["verify", "sublattice_closure", "--dim", "3", "--cases", "6", "--seed", "3"], 0),
         ],
         ids=["compare", "lattice", "limits", "limits_no_convergence", "verify"],
     )
     def test_reports_byte_identical_modulo_timing(
-        self, fixture_path, positive_path, capsys, argv, exit_code
+        self, fixture_path, positive_path, capsys, monkeypatch, argv, exit_code
     ):
+        if exit_code == 4:  # a ladder of three doublings, which kato on POSITIVE outruns
+            monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
         argv = [{"FIXTURE": fixture_path, "POSITIVE": positive_path}.get(a, a) for a in argv]
         stable = []
         for _ in range(2):
@@ -391,9 +392,9 @@ class TestPipeline:
             stable.append(json.dumps(report, sort_keys=True, separators=(",", ":")))
         assert stable[0] == stable[1]
 
-    def test_text_no_convergence_report_goes_to_stderr(self, positive_path, capsys):
-        argv = ["limits", "--input", positive_path, "--formula", "kato", "--max-doublings", "3"]
-        code = main([*argv, "--format", "text"])
+    def test_text_no_convergence_report_goes_to_stderr(self, positive_path, capsys, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
+        code = main(["limits", "--input", positive_path, "--formula", "kato", "--format", "text"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
@@ -484,7 +485,8 @@ class TestGen:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "argv", [["gen", "--kind", "generic", "--dim", "2"], ["compare", "--names", "c,d"]]
+        "argv",
+        [["gen", "--kind", "generic", "--dim", "2"], ["compare", "--names", "c,d"], ["verify", "order_laws"]],
     )
     def test_negative_seed_exits_two(self, fixture_path, capsys, argv):
         if argv[0] == "compare":
@@ -511,7 +513,6 @@ class TestMalformedInput:
         [
             (["limits", "--formula", "kato", "--tol-cluster", "0"], "[[1, 0], [0, 3]]", None),
             (["limits", "--formula", "kato", "--tol-psd", "-1"], "[[1, 0], [0, 3]]", None),
-            (["limits", "--formula", "kato", "--max-doublings", "0"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b"], "[[1, 0], [0, 3]]", "seven"),
             (["compare", "--names", "a,b"], "[[NaN, 0], [0, 3]]", None),
             (["lattice", "--mode", "sup"], "[[1, 0], [0, Infinity]]", None),
@@ -520,15 +521,14 @@ class TestMalformedInput:
             (["lattice", "--mode", "sup", "--tol-psd", "nan"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b", "--probes", "0"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b", "--probes", "-20"], "[[1, 0], [0, 3]]", None),
-            (["limits", "--formula", "kato", "--max-doublings", "1100"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b"], "[[0, 1.7e308], [-1.7e308, 0]]", None),
             (["lattice", "--mode", "sup", "--tol-cluster", "inf"], "[[1, 0], [0, 3]]", None),
             (["compare", "--names", "a,b", "--tol-psd", "inf"], "[[1, 0], [0, 3]]", None),
         ],
         ids=[
-            "tol_cluster", "tol_psd", "max_doublings", "seed_var", "nan", "inf", "huge_delta",
+            "tol_cluster", "tol_psd", "seed_var", "nan", "inf", "huge_delta",
             "compare_tol_psd_nan", "lattice_tol_psd_nan", "probes_zero", "probes_negative",
-            "max_doublings_above_cap", "asymmetry_near_float_max", "lattice_tol_cluster_inf",
+            "asymmetry_near_float_max", "lattice_tol_cluster_inf",
             "compare_tol_psd_inf",
         ],
     )
@@ -746,7 +746,7 @@ FLOAT_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-12", "0.5", "1e300")
 INT_VALUES = ("0", "-1", "1", "3", "nan", "inf")
 PROPERTY_VALUES = {
     **{flag: FLOAT_VALUES for flag in ("--tol-cluster", "--tol-psd", "--delta", "--spread")},
-    **{flag: INT_VALUES for flag in ("--max-doublings", "--probes", "--seed")},
+    **{flag: INT_VALUES for flag in ("--probes", "--seed")},
     "--format": ("json", "text"),
     "--normalize": (None,),
 }
@@ -791,7 +791,7 @@ class TestCliProperty:
         stray = data.draw(st.none() | st.sampled_from(sorted(set(PROPERTY_VALUES) - set(accepted))))
         if stray is not None:
             argv += [stray, "1"]
-        unparsable = any(drawn.get(f) in ("nan", "inf") for f in ("--max-doublings", "--probes", "--seed"))
+        unparsable = any(drawn.get(f) in ("nan", "inf") for f in ("--probes", "--seed"))
 
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -184,8 +184,8 @@ class TestLatticeFamily:
         with pytest.raises(errors.InternalLatticeError, match="terminate"):
             lattice.lattice_family(gen(4, count=2), "sup")
 
-    def test_checks_input_eigenbases_once(self):
-        # Roundoff in the eigenvectors exceeds a cluster_tol of 1e-18.
+    def test_checks_the_built_basis(self):
+        # Roundoff in the basis the walk builds exceeds a cluster_tol of 1e-18.
         with pytest.raises(errors.InternalLatticeError, match="orthonormal"):
             lattice.lattice_family(gen(2, dim=8, count=2), "sup", so.Tolerances(cluster_tol=1e-18))
 

@@ -32,8 +32,9 @@ def iterate_at(mats, n, **kwargs):
 
 
 class TestExponentLadder:
-    def test_ladder_doubles_up_to_the_cap(self):
-        iterates = so.power_sup_iterates(gen(2, count=2), tol=so.Tolerances(max_power_doublings=5))
+    def test_ladder_doubles_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 5)
+        iterates = so.power_sup_iterates(gen(2, count=2))
         ladder = [n for n, _ in iterates]
         assert ladder == [1, 2, 4, 8, 16, 32]
 
@@ -103,14 +104,15 @@ class TestGradedRootEngine:
         want = (dense_cols * np.exp(dense_logs)) @ dense_cols.conj().T
         assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
 
-    def test_projection_factors_below_full_rank_keep_their_rank(self):
+    def test_projection_factors_below_full_rank_keep_their_rank(self, monkeypatch):
         # two rank-2 projections in d = 8: F = 4 < d, so Q is 8 x 4, and every
         # iterate (P1^n + P2^n)^(1/n) = (P1 + P2)^(1/n) has rank 4
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((2, 8, 2)) + 1j * rng.standard_normal((2, 8, 2))
         qs = [np.linalg.qr(a)[0] for a in raw]
         eigs = [(np.ones(2), q) for q in qs]
-        for n, logs, cols in limits._power_mean_roots(eigs, 10, False, 1.0):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 10)
+        for n, logs, cols in limits._power_mean_roots(eigs, False, 1.0):
             assert cols.shape == (8, 4) and logs.shape == (4,)
             assert np.linalg.norm(cols.conj().T @ cols - np.eye(4)) < 1e-12
         join = so.spectral_sup([so.HermitianMatrix(q @ q.conj().T) for q in qs])
@@ -139,7 +141,8 @@ class TestGradedRootEngine:
 
         monkeypatch.setattr(limits, "_graded_root_pairs", recorded_engine)
         monkeypatch.setattr(limits, "_eigh", recorded_eigh)
-        assert len(list(limits._power_mean_roots(eigs, 12, False, -1.0))) == 13
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 12)
+        assert len(list(limits._power_mean_roots(eigs, False, -1.0))) == 13
         assert any(partial)
         r, tables, r_before, tables_before = shared
         assert np.array_equal(r, r_before) and all(map(np.array_equal, tables, tables_before))
@@ -162,8 +165,8 @@ class TestCostModel:
             return qr(a)
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        tol = so.Tolerances(max_power_doublings=12)
-        iterates = list(so.power_sup_iterates(gen(1, dim=8, count=3), tol=tol))
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 12)
+        iterates = list(so.power_sup_iterates(gen(1, dim=8, count=3)))
         assert len(iterates) == 13 and len(calls) == 1
 
     def test_no_norm_call_per_window(self, monkeypatch):
@@ -178,8 +181,9 @@ class TestCostModel:
 
         systems = map(so.eigensystem, gen(1, dim=8, count=3))
         eigs = [(es.eigenvalues, es.eigenvectors) for es in systems]
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 12)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
-        ladder = list(limits._power_mean_roots(eigs, 12, False, 1.0))
+        ladder = list(limits._power_mean_roots(eigs, False, 1.0))
         assert len(ladder) == 13 and not calls
 
     @pytest.mark.parametrize("delta", [0.0, None])
@@ -196,8 +200,8 @@ class TestCostModel:
 
         monkeypatch.setattr(limits, "_eigh", recorded_eigh)
         mats = gen(1, dim=32, count=3)
-        tol = so.Tolerances(max_power_doublings=20)
-        for n, _ in so.power_sup_iterates(mats, delta=delta, tol=tol):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 20)
+        for n, _ in so.power_sup_iterates(mats, delta=delta):
             if n < 2**20:
                 sizes.clear()
         assert sizes and 2 <= min(sizes) and max(sizes) <= 4
@@ -242,9 +246,10 @@ class TestExtrapolatedStop:
             assert ext_residual == (None if k == 1 else limits._norm(ext[k] - ext[k - 1]))
         assert np.array_equal(limit.entries, ext[len(trace)])
 
-    def test_no_convergence_carries_extrapolant_residuals(self):
+    def test_no_convergence_carries_extrapolant_residuals(self, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
         with pytest.raises(errors.NoConvergenceError) as exc:
-            so.shifted_power_sup(gen(3, count=2), tol=so.Tolerances(max_power_doublings=3))
+            so.shifted_power_sup(gen(3, count=2))
         ext = [e for _, _, e in exc.value.trace]
         assert ext[0] is None and len(ext) == 3
         assert all(e > 0.0 for e in ext[1:])
@@ -486,9 +491,10 @@ class TestShiftedPowerSup:
             if n >= 8:
                 break
 
-    def test_no_convergence_carries_last_iterate(self):
+    def test_no_convergence_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
         with pytest.raises(errors.NoConvergenceError) as exc:
-            so.shifted_power_sup(gen(3, count=2), tol=so.Tolerances(max_power_doublings=3))
+            so.shifted_power_sup(gen(3, count=2))
         assert isinstance(exc.value.last_iterate, so.HermitianMatrix)
         assert [n for n, _, _ in exc.value.trace] == [2, 4, 8]
 
@@ -569,15 +575,16 @@ class TestInversePowerInf:
         assert so.operator_norm(out - m) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_route_agreement_within_forty_doublings(self, seed, a=1.0):
+    def test_route_agreement_within_forty_doublings(self, monkeypatch, seed, a=1.0):
+        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 40)
         mats = [a * m for m in gen(seed, kind="positive_definite", count=2)]
-        out = so.inverse_power_inf(mats, delta=0.0, tol=so.Tolerances(max_power_doublings=40))
+        out = so.inverse_power_inf(mats, delta=0.0)
         assert so.operator_norm(out - so.spectral_inf(mats)) < 1e-6 * a
 
     @pytest.mark.parametrize("a", SMALL_SCALES)
     @pytest.mark.parametrize("seed", range(6))
-    def test_route_agreement_at_small_scale(self, seed, a):
-        self.test_route_agreement_within_forty_doublings(seed, a)
+    def test_route_agreement_at_small_scale(self, monkeypatch, seed, a):
+        self.test_route_agreement_within_forty_doublings(monkeypatch, seed, a)
 
     def test_rejects_shift_that_rounds_the_spectrum_away(self):
         mats = gen(1, dim=6, kind="positive_definite", count=3)

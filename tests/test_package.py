@@ -1,9 +1,11 @@
 """The package's public surface: it re-exports each module's ``__all__`` and
-nothing else, importing it loads only the library modules, and every name
-the benchmark's tracer wraps exists."""
+nothing else, importing it loads only the library modules, every name the
+benchmark's tracer wraps exists, and its public functions have a known set
+of settings."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -27,6 +29,34 @@ def test_each_name_is_the_module_object():
     for m in MODULES:
         for name in m.__all__:
             assert getattr(so, name) is getattr(m, name), f"{m.__name__}.{name}"
+
+
+# Every defaulted parameter of a public function but ``tol``, with its
+# default. A new setting, or a new default, changes this list.
+PUBLIC_SETTINGS = [
+    ("shifted_power_sup", "delta", None),
+    ("shifted_power_sup", "normalize", False),
+    ("inverse_power_inf", "delta", None),
+    ("inverse_power_inf", "normalize", False),
+    ("power_sup_iterates", "delta", None),
+    ("power_sup_iterates", "normalize", False),
+    ("power_inf_iterates", "delta", None),
+    ("power_inf_iterates", "normalize", False),
+    ("monotone_probe", "probes", 24),
+    ("monotone_probe", "seed", 0),
+    ("gen_monotone_chain", "direction", "decreasing"),
+]
+
+
+def test_public_settings():
+    settings = [
+        (name, p.name, p.default)
+        for name in so.__all__
+        if inspect.isfunction(getattr(so, name))
+        for p in inspect.signature(getattr(so, name)).parameters.values()
+        if p.default is not p.empty and p.name != "tol"
+    ]
+    assert settings == PUBLIC_SETTINGS
 
 
 def test_readme_names_resolve():
