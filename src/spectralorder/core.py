@@ -274,10 +274,14 @@ def _unit(norm: float) -> float:
     return min(1.0, _scale(norm))
 
 
+def _spectrum_scale(*spectra: np.ndarray) -> float:
+    """:func:`_scale` of the largest |lambda|, read off the ends of ascending ``spectra``."""
+    return _scale(max(abs(w[i]) for w in spectra for i in (0, -1)))
+
+
 def _cluster_width(tol: Tolerances, *spectra: np.ndarray) -> float:
-    """Clustering width: cluster_tol times :func:`_scale` of the largest
-    |lambda|, read off the ends of ascending ``spectra`` the caller holds."""
-    return tol.cluster_tol * _scale(max(abs(w[i]) for w in spectra for i in (0, -1)))
+    """Clustering width: cluster_tol times the :func:`_spectrum_scale` of ``spectra``."""
+    return tol.cluster_tol * _spectrum_scale(*spectra)
 
 
 def _psd_slack(norm_x: float, norm_y: float, tol: Tolerances) -> float:

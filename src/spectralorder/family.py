@@ -6,15 +6,13 @@ family E_lambda = (projection onto the span of eigenvectors with eigenvalue
 pointwise, with the direction reversed relative to the families themselves:
 x precedes y exactly when E^y_lambda <= E^x_lambda for every lambda.
 
-Because both families are step functions, constant between the merged
-breakpoints and right-continuous, checking the finitely many merged
-breakpoints is exact in exact arithmetic. Floating point adds one wrinkle:
-nearly equal eigenvalues are merged (clustered) first, and family
-evaluation inside a comparison uses a slack of one cluster width so that a
-breakpoint sitting a rounding error above the merged representative is
-still counted; the width follows the operands' scale, so a verdict is the
-same for a x and a y at any a > 0. Borderline spectra, with an eigenvalue gap
-between one and ten cluster widths, can flip a verdict either way; see
+Both families are right-continuous step functions, constant between the
+merged breakpoints, so checking those finitely many breakpoints is exact in
+exact arithmetic. In floating point, nearly equal eigenvalues are merged
+first, and a cluster stands at its largest value, where a family counts all
+of it; the width follows the operands' scale, so a verdict is the same for a
+x and a y at any a > 0. Borderline spectra, with an eigenvalue gap between
+one and ten cluster widths, can flip a verdict either way; see
 :func:`borderline_gap`, which the CLI uses to flag such comparisons.
 
 A family is kept as its eigenvector matrix U plus the cumulative rank at
@@ -45,11 +43,11 @@ from .core import (
     Tolerances,
     _cluster_width,
     _eigvalsh,
-    _scale,
+    _spectrum_scale,
     _svd,
     eigensystem,
 )
-from .errors import InvalidFamilyError
+from .errors import InvalidFamilyError, InvalidParameterError, NonFiniteError
 
 __all__ = [
     "Projection",
@@ -111,26 +109,26 @@ def range_defect(p: Projection, q: Projection) -> float:
     return float(_svd(m, compute_uv=False)[0])
 
 
-def _clusters(vals: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives (means) and end indices of the runs of ascending,
-    nonempty ``vals`` whose consecutive gaps are at most ``width``."""
-    s = _scale(max(-vals[0], vals[-1]))  # of the largest |value|: over s no gap or sum overflows
-    unit = vals / s
-    cut = np.flatnonzero(unit[1:] - unit[:-1] > width / s) + 1
-    starts, ends = np.concatenate(([0], cut)), np.concatenate((cut, [vals.size]))
-    return np.add.reduceat(unit, starts) / (ends - starts) * s, ends
+def _cluster_ends(vals: np.ndarray, width: float) -> np.ndarray:
+    """End indices of the runs of ascending, nonempty ``vals`` whose
+    consecutive gaps are at most ``width``."""
+    s = _spectrum_scale(vals)  # over s no gap overflows
+    cut = np.flatnonzero(np.diff(vals / s) > width / s) + 1
+    return np.append(cut, vals.size)
 
 
 def cluster_values(values: Sequence[float], width: float) -> np.ndarray:
-    """Merge sorted values whose consecutive gaps are below ``width``.
-
-    Returns the ascending cluster representatives (cluster means). Used to
-    suppress spurious breakpoints from eigenvalue roundoff.
-    """
+    """The largest value of each cluster, ascending, where a cluster is a run
+    of the sorted values with consecutive gaps at most ``width``: a
+    right-continuous family has counted the whole cluster there. Raises
+    InvalidParameterError unless 0 <= width < inf, NonFiniteError for a
+    NaN or infinite value."""
+    if not (0.0 <= width < np.inf):
+        raise InvalidParameterError(f"width must be nonnegative and finite, got {width!r}")
     vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
-        return vals
-    return _clusters(vals, width)[0]
+    if not np.isfinite(vals).all():
+        raise NonFiniteError("values must be finite (got NaN or infinity)")
+    return vals[_cluster_ends(vals, width) - 1] if vals.size else vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,25 +173,25 @@ class SpectralFamily:
         """The dense value at each breakpoint."""
         return tuple(Projection.onto(self.vectors[:, :r], self.dim) for r in self.ranks)
 
-    def ranks_at(self, lams: np.ndarray, slack: float) -> np.ndarray:
-        """Rank of the family's value at each of ``lams``, counting
-        breakpoints up to ``lam + slack``; zero below the first."""
-        idx = np.searchsorted(self.breakpoints, lams + slack, side="right")
+    def ranks_at(self, lams: np.ndarray) -> np.ndarray:
+        """Rank of the family's value at each of ``lams``; zero below the first breakpoint."""
+        idx = np.searchsorted(self.breakpoints, lams, side="right")
         return np.concatenate(([0], self.ranks))[idx]
 
 
 def spectral_family_of(h: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralFamily:
-    """Spectral family of h from one eigendecomposition, with eigenvalues
-    within one cluster width of each other merged to their mean."""
+    """Spectral family of h from one eigendecomposition: eigenvalues whose gaps
+    are within one cluster width merge into one breakpoint, their largest."""
     es = eigensystem(h)
-    reps, ends = _clusters(es.eigenvalues, _cluster_width(tol, es.eigenvalues))
-    return SpectralFamily(reps, es.eigenvectors, ends)
+    w = es.eigenvalues
+    ends = _cluster_ends(w, _cluster_width(tol, w))
+    return SpectralFamily(w[ends - 1], es.eigenvectors, ends)
 
 
 def evaluate_at(sf: SpectralFamily, lam: float) -> Projection:
     """Right-continuous step evaluation: the projection at the largest
     breakpoint <= lam, zero below the first breakpoint."""
-    rank = int(sf.ranks_at(np.array([float(lam)]), 0.0)[0])
+    rank = int(sf.ranks_at(np.array([float(lam)]))[0])
     return Projection.onto(sf.vectors[:, :rank], sf.dim)
 
 
@@ -231,9 +229,9 @@ class OrderVerdict:
 
     def __post_init__(self) -> None:
         if self.holds and (self.witness_lambda is not None or self.defect is not None):
-            raise ValueError("a holding verdict carries no witness")
+            raise InvalidParameterError("a holding verdict carries no witness")
         if not self.holds and (self.witness_lambda is None or self.defect is None):
-            raise ValueError("a failing verdict needs witness_lambda and defect")
+            raise InvalidParameterError("a failing verdict needs witness_lambda and defect")
 
     def __bool__(self) -> bool:
         return self.holds
@@ -242,10 +240,10 @@ class OrderVerdict:
 def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> OrderVerdict:
     """Decide whether x precedes y in the spectral order.
 
-    Evaluates both families at every point of the merged, clustered
-    breakpoint grid and checks E^y_lambda <= E^x_lambda there. Checking the
-    grid suffices: both families are right-continuous step functions and
-    constant between merged breakpoints. A defect counts when it exceeds
+    Evaluates both families at every point of the merged breakpoint grid
+    (:func:`cluster_values`) and checks E^y_lambda <= E^x_lambda there.
+    Checking the grid suffices: both families are right-continuous step
+    functions and constant between merged breakpoints. A defect counts when it exceeds
     10 * psd_tol plus the eigenvector rounding of both cuts at that point
     (:func:`_cut_rounding`), so no verdict rests on rounding alone. On
     failure the verdict reports the smallest failing breakpoint and the
@@ -253,12 +251,10 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
     (see the module docstring).
     """
     x._require_same_dim(y)
-    fx = spectral_family_of(x, tol)
-    fy = spectral_family_of(y, tol)
+    fx, fy = spectral_family_of(x, tol), spectral_family_of(y, tol)
     width = _cluster_width(tol, fx.breakpoints, fy.breakpoints)
     grid = cluster_values(np.concatenate([fx.breakpoints, fy.breakpoints]), width)
-    rx = fx.ranks_at(grid, width)
-    ry = fy.ranks_at(grid, width)
+    rx, ry = fx.ranks_at(grid), fy.ranks_at(grid)
     g = fx.vectors.conj().T @ fy.vectors
     # fro2[i, j] = ||g[i:, :j]||_F^2, summed from the bottom-left corner.
     fro2 = np.zeros((x.dim + 1, x.dim + 1))
@@ -273,7 +269,7 @@ def spectral_leq(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEFAU
 
 def _cut_rounding(f: SpectralFamily) -> np.ndarray:
     """Rounding of the family's value at each rank r = 0..d: 4 eps / g, g the
-    gap over s (the :func:`_scale` of the largest |lambda|) between the
+    gap over s (the :func:`_spectrum_scale` of the breakpoints) between the
     breakpoints on either side of the cut after column r, the eigenvector
     error bound of Davis and Kahan (SIAM J. Numer. Anal. 7, 1970); 0 at ranks
     0 and d, which cut nothing. A cut narrower than about 4 eps s gets more
@@ -284,7 +280,7 @@ def _cut_rounding(f: SpectralFamily) -> np.ndarray:
     answers outward, so those bound the inputs without this allowance."""
     bp = f.breakpoints
     out = np.zeros(f.dim + 1)
-    out[f.ranks[:-1]] = 4.0 * np.finfo(float).eps / np.diff(bp / _scale(max(-bp[0], bp[-1])))
+    out[f.ranks[:-1]] = 4.0 * np.finfo(float).eps / np.diff(bp / _spectrum_scale(bp))
     return out
 
 
@@ -296,7 +292,7 @@ def borderline_gap(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerances = DEF
     x._require_same_dim(y)
     vals = np.sort(np.concatenate([_eigvalsh(x.entries), _eigvalsh(y.entries)]))
     width = _cluster_width(tol, vals)
-    ends = _clusters(vals, width)[1]
+    ends = _cluster_ends(vals, width)
     half = 0.5 * vals  # halved, no gap overflows
     gaps = np.diff(half)
     widths = half[ends - 1] - half[ends - np.diff(ends, prepend=0)]

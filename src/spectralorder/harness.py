@@ -26,6 +26,7 @@ from .core import (
     _is_integer,
     _psd_slack,
     _scale,
+    _spectrum_scale,
     _svd,
     _unit,
     eigensystem,
@@ -42,7 +43,7 @@ from .errors import (
     NotPositiveError,
     UnknownSuiteError,
 )
-from .family import Projection, _clusters, spectral_leq
+from .family import Projection, _cluster_ends, spectral_leq
 from .lattice import (
     OPERATOR_CLASSES,
     affine_image,
@@ -121,6 +122,8 @@ class InstanceSpec:
                 raise InvalidSpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dim < 1:
             raise InvalidSpecError("dim must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.count < 1:
             raise InvalidSpecError("count must be >= 1")
         if self.kind not in INSTANCE_KINDS:
@@ -184,8 +187,6 @@ def gen_instances(spec: InstanceSpec) -> list[HermitianMatrix]:
     the returned list: one conjugating unitary and, respectively, common
     eigenvectors or disjoint diagonal blocks.
     """
-    if spec.seed < 0:
-        raise InvalidSpecError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     d = spec.dim
     if spec.kind == "commuting_family":
@@ -231,9 +232,9 @@ Map = Callable[[np.ndarray], np.ndarray]
 
 
 def _at_unit_scale(ex: EigenSystem, ey: EigenSystem) -> tuple[EigenSystem, EigenSystem, float]:
-    """x / s and y / s from decompositions of x and y, s the :func:`_scale` of their
-    largest |eigenvalue|: exact, and every |eigenvalue / s| is at most 2."""
-    s = _scale(max(abs(es.eigenvalues[i]) for es in (ex, ey) for i in (0, -1)))
+    """x / s and y / s from decompositions of x and y, s the :func:`_spectrum_scale` of
+    their eigenvalues: exact, and every |eigenvalue / s| is at most 2."""
+    s = _spectrum_scale(ex.eigenvalues, ey.eigenvalues)
     ux, uy = (EigenSystem(es.eigenvalues / s, es.eigenvectors) for es in (ex, ey))
     return ux, uy, s
 
@@ -356,7 +357,7 @@ def _refine_blocks(
         return cols
     compressed = cols.conj().T @ ops[0] @ cols
     w, u = _eigh((compressed + compressed.conj().T) / 2.0)
-    blocks = np.split(u, _clusters(w, cluster)[1][:-1], axis=1)
+    blocks = np.split(u, _cluster_ends(w, cluster)[:-1], axis=1)
     return np.concatenate([_refine_blocks(cols @ b, ops[1:], cluster) for b in blocks], axis=1)
 
 

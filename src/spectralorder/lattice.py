@@ -66,8 +66,8 @@ from .errors import (
 )
 from .family import (
     SpectralFamily,
-    _clusters,
     _is_projection_spectrum,
+    cluster_values,
     reconstruct,
     spectral_family_of,
     spectral_leq,
@@ -125,11 +125,10 @@ def lattice_family(
 def _sup_family(mats: Sequence[HermitianMatrix], tol: Tolerances) -> SpectralFamily:
     dim = _check_set(mats)
     families = [spectral_family_of(m, tol) for m in mats]
-    # Each grid point is its cluster's largest value, so every input counts
-    # the whole cluster there and has rank d at the top one.
-    vals = np.sort(np.concatenate([f.breakpoints for f in families]))
-    grid = vals[_clusters(vals, _cluster_width(tol, vals))[1] - 1]
-    grid_ranks = np.stack([f.ranks_at(grid, 0.0) for f in families], axis=1)
+    # At each cluster's largest value every input counts all of it: rank d at the top one.
+    spectra = [f.breakpoints for f in families]
+    grid = cluster_values(np.concatenate(spectra), _cluster_width(tol, *spectra))
+    grid_ranks = np.stack([f.ranks_at(grid) for f in families], axis=1)
     # Input columns with eigenvalues in cluster j: below[j]..grid_ranks[j].
     below = np.vstack((np.zeros_like(grid_ranks[:1]), grid_ranks[:-1]))
     # The threshold acts on unit columns: the strict one, without

@@ -20,11 +20,21 @@ GAP_Y = h([[1.5, 0.5], [0.5, 0.5]])  # Loewner-above GAP_X but not spectral-abov
 class TestClusterValues:
     def test_merges_near_ties(self):
         reps = cluster_values([1.0, 1.0 + 1e-12, 2.0], 1e-8)
-        assert np.allclose(reps, [1.0, 2.0])
+        assert reps.tolist() == [1.0 + 1e-12, 2.0]
 
     def test_keeps_separated(self):
         reps = cluster_values([0.0, 0.5, 1.0], 1e-8)
         assert np.allclose(reps, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), -1e-8])
+    def test_rejects_bad_width(self, width):
+        with pytest.raises(errors.InvalidParameterError, match="width"):
+            cluster_values([0.0, 1.0, 2.0], width)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_value(self, bad):
+        with pytest.raises(errors.NonFiniteError):
+            cluster_values([0.0, bad, 2.0], 1e-8)
 
 
 class TestSpectralFamilyOf:
@@ -216,10 +226,10 @@ def dense_leq(x, y, tol=so.DEFAULT_TOL):
     breakpoints = np.concatenate([sf_x.breakpoints, sf_y.breakpoints])
     width = tol.cluster_tol * _scale(np.abs(breakpoints).max())
     for lam in cluster_values(breakpoints, width):
-        p = so.evaluate_at(sf_y, lam + width).entries
-        q = so.evaluate_at(sf_x, lam + width).entries
+        p = so.evaluate_at(sf_y, lam).entries
+        q = so.evaluate_at(sf_x, lam).entries
         defect = float(np.linalg.norm(p - q @ p, 2))
-        rounding = cut_rounding(sf_x, lam + width) + cut_rounding(sf_y, lam + width)
+        rounding = cut_rounding(sf_x, lam) + cut_rounding(sf_y, lam)
         if defect > 10.0 * tol.psd_tol + rounding:
             return False, float(lam), defect
     return True, None, None
@@ -324,6 +334,22 @@ class TestCompactComparison:
             assert abs(v.defect - np.sin(angle)) <= 1e-12
 
 
+class TestOrderVerdict:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"holds": True, "witness_lambda": 1.0},
+            {"holds": True, "defect": 0.5},
+            {"holds": False},
+            {"holds": False, "witness_lambda": 1.0},
+        ],
+    )
+    def test_inconsistent_fields_raise_a_typed_error(self, kwargs):
+        with pytest.raises(errors.InvalidParameterError, match="verdict") as info:
+            so.OrderVerdict(**kwargs)
+        assert isinstance(info.value, ValueError)
+
+
 class TestBorderline:
     def test_flags_gap_inside_band(self):
         # max|lambda| in (0.5, 1] puts the width at cluster_tol: 5e-8 is five widths
@@ -338,9 +364,9 @@ class TestBorderline:
     def test_flags_chained_cluster(self):
         # 20 eigenvalues 0.9 * cluster_tol apart (max|lambda| in (0.5, 1], so
         # the width is cluster_tol) merge into one cluster 1.7e-7 wide: no
-        # single gap is borderline, the chain is.
+        # single gap is borderline, the chain is. y stands at the chain's top.
         x = h(np.diag(0.5 + 0.9e-8 * np.arange(20)))
-        y = float(np.mean(np.diag(x.entries).real)) * so.identity(20)
+        y = float(np.max(np.diag(x.entries).real)) * so.identity(20)
         assert so.spectral_leq(x, y).holds and so.spectral_leq(y, x).holds
         assert so.borderline_gap(x, y)
 

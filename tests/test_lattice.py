@@ -302,6 +302,47 @@ class TestClusterBand:
                         assert so.loewner_leq(lo, hi), (count, seed)
 
 
+def merged_pair_sets(count=200):
+    """Seeded sets of dimension 2-6. The first input has two eigenvalues 0.2-0.95
+    cluster widths apart, which its own family merges; 0-1 generic inputs at
+    the same scale follow."""
+    tol = so.DEFAULT_TOL
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 7))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        w = scale * (rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.1, 0.6, dim)))
+        i = int(rng.integers(0, dim - 1))
+        # w[i + 1] moves next to w[i]; the width follows the values that stay.
+        width = tol.cluster_tol * _scale(np.abs(np.delete(w, i + 1)).max())
+        w[i + 1] = w[i] + rng.uniform(0.2, 0.95) * width
+        assert 0.2 <= (w[i + 1] - w[i]) / (tol.cluster_tol * _scale(np.abs(w).max())) <= 0.95
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        mats = [so.HermitianMatrix((q * w) @ q.conj().T)]
+        mats += [scale * m for m in gen(seed, dim=dim, count=1)[: int(rng.integers(0, 2))]]
+        yield seed, mats
+
+
+class TestWithinInputCluster:
+    """An input whose own family merges two eigenvalues breaks at the larger
+    one, so an answer bounds it at the whole cluster, not at its mean."""
+
+    def test_answers_bound_every_input(self):
+        for seed, mats in merged_pair_sets():
+            sup, inf = so.spectral_sup(mats), so.spectral_inf(mats)
+            for m in mats:
+                for lo, hi in ((m, sup), (inf, m)):
+                    assert so.spectral_leq(lo, hi).holds, seed
+                    assert so.loewner_leq(lo, hi), seed
+
+    def test_singleton_stands_at_its_cluster_ends(self):
+        # The gap, 1.5e-8, is 0.75 of the width 2 * cluster_tol.
+        x = h(np.diag([1.0, 1.0 + 1.5e-8]))
+        eps = np.finfo(float).eps
+        assert so.operator_norm(so.spectral_sup([x]) - (1.0 + 1.5e-8) * so.identity(2)) <= 4 * eps
+        assert so.operator_norm(so.spectral_inf([x]) - so.identity(2)) <= 4 * eps
+
+
 class TestCostModel:
     """Call counts of the compact lattice route; nothing here is timed."""
 
@@ -317,7 +358,7 @@ class TestCostModel:
         # from the top down to the first nonzero meet, where the join of
         # the ranges above reaches rank d.
         meet_ranks = [
-            so.proj_meet([so.evaluate_at(f, lam + tol.cluster_tol) for f in families], tol).rank
+            so.proj_meet([so.evaluate_at(f, lam) for f in families], tol).rank
             for lam in grid
         ]
         first = next(i for i, r in enumerate(meet_ranks) if r > 0)
