@@ -15,19 +15,19 @@ Document format (JSON, format_version "1")::
 operands into a report; :func:`main` runs every one through one pipeline:
 parse, build the tolerances (a command takes the flags of the fields it
 reads, the library defaults fill the rest), time the whole command (document
-loading included), add the one "timing" key and emit. Reports are JSON by
-default and are byte-identical across reruns with the same flags and seed
-apart from "timing", which holds only the wall time and can be stripped
+loading included), add the one "timing" key and print the report as JSON
+to stdout. Reports are byte-identical across reruns with the same flags and
+seed apart from "timing", which holds only the wall time and can be stripped
 before comparison. ``gen`` writes a document, not a report, outside the pipeline.
 
 Exit codes: 0 evaluation succeeded (regardless of verdicts), 2 usage or
 input error, 3 numerical backend failure, 4 non-convergence. The verify
 subcommand additionally exits 1 when the suite ran but reported failures.
 The codes come from the error classes themselves (see
-:mod:`spectralorder.errors`), so a bad flag value, a non-integer seed
-variable, a non-finite matrix entry or a file that cannot be read, decoded
-or written exits 2 like any other input error, and every failure ends in
-one ``error:`` line instead of a traceback.
+:mod:`spectralorder.errors`), so a bad flag value, a non-finite matrix
+entry or a file that cannot be read, decoded or written exits 2 like any
+other input error, and every failure ends in one ``error:`` line instead of
+a traceback.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from typing import Sequence
@@ -58,11 +57,9 @@ from .limits import orthogonal_sup, power_inf_iterates, power_sup_iterates, run_
 
 EXIT_OK = 0
 
-SEED_ENV_VAR = "SPECTRAL_LATTICE_SEED"
-
 
 class InputError(errors.InvalidInputError):
-    """File, parse, name lookup or environment problem (exit code 2)."""
+    """File, parse or name lookup problem (exit code 2)."""
 
 
 def _matrix_to_doc_entry(name: str, h: HermitianMatrix) -> dict:
@@ -154,18 +151,6 @@ def _write_json(obj: dict, path: str | None = None) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_text(report: dict, stream, indent: str = "") -> None:
-    for key in sorted(report):
-        value = report[key]
-        if isinstance(value, dict):
-            stream.write(f"{indent}{key}:\n")
-            _emit_text(value, stream, indent + "  ")
-        elif isinstance(value, list):
-            stream.write(f"{indent}{key}: {json.dumps(value)}\n")
-        else:
-            stream.write(f"{indent}{key}: {value}\n")
-
-
 def _verdict_dict(verdict) -> dict:
     out = {"holds": verdict.holds}
     if not verdict.holds:
@@ -179,7 +164,7 @@ def cmd_compare(args, tol: Tolerances) -> tuple[dict, int]:
         raise InputError("compare needs exactly two names, e.g. --names a,b")
     names, (x, y) = _operands(args, tol)
     verdict = spectral_leq(x, y, tol)
-    probe = monotone_probe(x, y, probes=args.probes, seed=args.seed, tol=tol)
+    probe = monotone_probe(x, y, seed=args.seed, tol=tol)
     return {
         "command": "compare",
         "names": names,
@@ -287,14 +272,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 # The flag of each Tolerances field; every report command reads both fields.
 _TOL_FLAGS = {
     "cluster_tol": ("--tol-cluster", "relative eigenvalue clustering width"),
@@ -305,7 +282,6 @@ _TOL_FLAGS = {
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     for field, (flag, text) in _TOL_FLAGS.items():
         parser.add_argument(flag, dest=field, type=float, default=getattr(DEFAULT_TOL, field), help=text)
-    parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="compare two named matrices in both orders")
     p_compare.add_argument("--input", required=True, help="matrix-set document (JSON)")
     p_compare.add_argument("--names", required=True, help="two comma-separated names")
-    p_compare.add_argument("--probes", type=int, default=24, help="monotone probe count")
     _add_report_flags(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -358,25 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--output", default=None, help="write document here (default stdout)")
 
     for p in sub.choices.values():  # the one flag gen shares with the report commands
-        p.add_argument(
-            "--seed", type=int, default=None, help=f"master seed (default from ${SEED_ENV_VAR}, else 0)"
-        )
+        p.add_argument("--seed", type=int, default=0, help="master seed")
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call rather than at import. Parsing leaves
-    it unchanged: each call gets a fresh namespace, and the seed default is
-    read from the environment per call, in :func:`main`."""
+    it unchanged: each call gets a fresh namespace."""
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if args.command == "gen":
             return cmd_gen(args)
         start = time.perf_counter()
@@ -386,10 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (errors.InvalidInputError, errors.NumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.format == "json":
-        _write_json(report)
-    else:  # a text report of an error goes to stderr
-        _emit_text(report, sys.stderr if "error" in report else sys.stdout)
+    _write_json(report)
     return code
 
 

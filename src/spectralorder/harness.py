@@ -527,17 +527,22 @@ def _gen(seed: int, dim: int, kind: str, count: int = 1, spread: float = 0.1):
 _Cases = Sequence[tuple[int, int]]  # (index, seed) of every case, derived once by run_suite
 
 
-def _agree(i: int, s: int, prop: str, a, b, bound: float, note: str = ""):
-    """Report ``prop`` for case (i, s) when the matrices a and b are more than ``bound``
-    apart in operator norm, with the deviation as witness."""
+def _agree(i: int, s: int, prop: str, inputs, a, b, bound: float, note: str = ""):
+    """Report ``prop`` for case (i, s) when the matrices a and b are more than
+    ``bound`` apart in operator norm at the scale of the case's ``inputs``, with
+    the deviation as witness. The bound is relative above unit scale: it is
+    multiplied by the :func:`_scale` of the largest |entry| of the inputs, at
+    least 1; the largest entry bounds each norm within a factor dim, so no
+    eigvalsh is needed."""
+    top = max(float(np.max(np.abs(m.entries))) for m in inputs)
     dev = operator_norm(a - b)
-    if dev > bound:
+    if dev > bound * _scale(max(top, 1.0)):
         yield CaseFailure(i, s, prop, f"{note}deviation {dev:.3e}")
 
 
 def _suite_order_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
     for i, s in cases:
-        x, r, t = _gen(s, spec.dim, "generic", count=3, spread=spec.spectrum_spread)
+        x, r, t = case = _gen(s, spec.dim, "generic", count=3, spread=spec.spectrum_spread)
         if not spectral_leq(x, x, tol):
             yield CaseFailure(i, s, "reflexivity", "spectral_leq(x, x) failed")
         u = spectral_sup([x, r], tol)
@@ -564,10 +569,10 @@ def _suite_order_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
         z = x + (far / bump_norm) * bump
         if spectral_leq(x, z, tol) and spectral_leq(z, x, tol):
             yield CaseFailure(i, s, "antisymmetry", f"both verdicts hold at distance {far:.3e}")
-        yield from _agree(i, s, "idempotence", spectral_sup([x, x], tol), x, 1e-8)
+        yield from _agree(i, s, "idempotence", case, spectral_sup([x, x], tol), x, 1e-8)
         dual = -spectral_sup([-x, -r], tol)
-        yield from _agree(i, s, "duality", spectral_inf([x, r], tol), dual, 1e-8)
-        yield from _agree(i, s, "associativity", v, spectral_sup([u, t], tol), 1e-8)
+        yield from _agree(i, s, "duality", case, spectral_inf([x, r], tol), dual, 1e-8)
+        yield from _agree(i, s, "associativity", case, v, spectral_sup([u, t], tol), 1e-8)
         order_bounds([x, r, t], tol)  # verifies its own domination claims
         inf3 = spectral_inf([x, r, t], tol)
         for m in (x, r, t):
@@ -581,17 +586,17 @@ def _suite_sup_inf_routes(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
         count = 2 + i % 3
         psd = _gen(s, spec.dim, "positive", count=count, spread=spec.spectrum_spread)
         sup = shifted_power_sup(psd, delta=0.0, tol=tol)
-        yield from _agree(i, s, "route_agreement_sup", sup, spectral_sup(psd, tol), 1e-6)
+        yield from _agree(i, s, "route_agreement_sup", psd, sup, spectral_sup(psd, tol), 1e-6)
         pd = _gen(s, spec.dim, "positive_definite", count=count, spread=spec.spectrum_spread)
         inf = inverse_power_inf(pd, delta=0.0, tol=tol)
-        yield from _agree(i, s, "route_agreement_inf", inf, spectral_inf(pd, tol), 1e-6)
+        yield from _agree(i, s, "route_agreement_inf", pd, inf, spectral_inf(pd, tol), 1e-6)
         harm = harmonic_pair_inf(pd[0], pd[1], tol=tol)
-        yield from _agree(i, s, "route_agreement_harmonic", harm, spectral_inf(pd[:2], tol), 1e-6)
+        yield from _agree(i, s, "route_agreement_harmonic", pd, harm, spectral_inf(pd[:2], tol), 1e-6)
         if i % 4 == 0:
             floor = delta_floor(psd)
             a, b, c = (shifted_power_sup(psd, delta=floor - off, tol=tol) for off in (0.0, 1.0, 10.0))
             for one, other in ((a, b), (a, c), (b, c)):
-                yield from _agree(i, s, "delta_invariance", one, other, 1e-6)
+                yield from _agree(i, s, "delta_invariance", psd, one, other, 1e-6)
 
 
 def _suite_sublattice_closure(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
@@ -632,7 +637,7 @@ def _suite_monotone_characterization(spec: InstanceSpec, cases: _Cases, tol: Tol
         rng = np.random.default_rng(case_seed(s, 1))
         vec = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
         vec /= np.linalg.norm(vec)
-        bumped = base + HermitianMatrix(0.5 * np.outer(vec, vec.conj()))
+        bumped = base + HermitianMatrix((0.5 * _scale(operator_norm(base))) * np.outer(vec, vec.conj()))
         if not loewner_leq(base, bumped, tol):
             yield CaseFailure(i, s, "bump_loewner", "x <= x + v v* failed")
         if power_order_probe(base, bumped, tol).refuted:
@@ -652,8 +657,8 @@ def _suite_orthogonal(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
         count = 2 + i % 3
         dim = max(spec.dim, count)
         mats = _gen(s, dim, "orthogonal_family", count=count, spread=spec.spectrum_spread)
-        yield from _agree(i, s, "orthogonal_sup", orthogonal_sup(mats), spectral_sup(mats, tol), 1e-8)
-        yield from _agree(i, s, "orthogonal_inf", orthogonal_inf(mats), spectral_inf(mats, tol), 1e-8)
+        yield from _agree(i, s, "orthogonal_sup", mats, orthogonal_sup(mats), spectral_sup(mats, tol), 1e-8)
+        yield from _agree(i, s, "orthogonal_inf", mats, orthogonal_inf(mats), spectral_inf(mats, tol), 1e-8)
 
 
 def _suite_affine_covariance(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
@@ -665,31 +670,31 @@ def _suite_affine_covariance(spec: InstanceSpec, cases: _Cases, tol: Tolerances)
         for name, op in (("sup", spectral_sup), ("inf", spectral_inf)):
             routed = alpha * op(mats, tol) + beta * identity(spec.dim)
             note = f"alpha={alpha}, beta={beta}, "
-            yield from _agree(i, s, f"affine_{name}", op(mapped, tol), routed, 1e-7, note)
+            yield from _agree(i, s, f"affine_{name}", mats, op(mapped, tol), routed, 1e-7, note)
 
 
 def _suite_projection_lattice_laws(spec: InstanceSpec, cases: _Cases, tol: Tolerances):
     for i, s in cases:
-        p, q, r = (
+        p, q, r = case = tuple(
             Projection(_gen(case_seed(s, k), spec.dim, "projection")[0]) for k in range(3)
         )
-        yield from _agree(i, s, "meet_idempotent", proj_meet([p, p], tol).matrix, p.matrix, 1e-10)
+        yield from _agree(i, s, "meet_idempotent", case, proj_meet([p, p], tol).matrix, p.matrix, 1e-10)
         ab = proj_meet([p, q], tol)
         ba = proj_meet([q, p], tol)
-        yield from _agree(i, s, "meet_commutative", ab.matrix, ba.matrix, 1e-10)
+        yield from _agree(i, s, "meet_commutative", case, ab.matrix, ba.matrix, 1e-10)
         nested = proj_meet([ab, r], tol)
         flat = proj_meet([p, q, r], tol)
-        yield from _agree(i, s, "meet_associative", nested.matrix, flat.matrix, 1e-10)
-        yield from _agree(i, s, "absorption", proj_join([p, ab], tol).matrix, p.matrix, 1e-10)
+        yield from _agree(i, s, "meet_associative", case, nested.matrix, flat.matrix, 1e-10)
+        yield from _agree(i, s, "absorption", case, proj_join([p, ab], tol).matrix, p.matrix, 1e-10)
         join = proj_join([p, q], tol)
         if not (proj_leq(ab, p, tol) and proj_leq(p, join, tol)):
             yield CaseFailure(i, s, "lattice_bounds", "meet <= p <= join failed")
         oracle = alternating_meet_oracle(p, q, tol)
-        yield from _agree(i, s, "alternating_oracle", oracle.matrix, ab.matrix, 10.0 * _ORACLE_STOP)
+        yield from _agree(i, s, "alternating_oracle", case, oracle.matrix, ab.matrix, 10.0 * _ORACLE_STOP)
         pq = [p.matrix, q.matrix]
         prop = "projection_specialization"
-        yield from _agree(i, s, prop, spectral_sup(pq, tol), join.matrix, 1e-8, "sup/join ")
-        yield from _agree(i, s, prop, spectral_inf(pq, tol), ab.matrix, 1e-8, "inf/meet ")
+        yield from _agree(i, s, prop, case, spectral_sup(pq, tol), join.matrix, 1e-8, "sup/join ")
+        yield from _agree(i, s, prop, case, spectral_inf(pq, tol), ab.matrix, 1e-8, "inf/meet ")
         if spectral_leq(p.matrix, q.matrix, tol).holds != loewner_leq(p.matrix, q.matrix, tol):
             yield CaseFailure(i, s, "projection_order_equivalence", "orders disagree on projections")
 

@@ -230,10 +230,8 @@ def _class_membership(
         return unit_ball
     if klass == "effect":
         return positive[0] and unit_ball[0], f"{positive[1]}; {unit_ball[1]}"
-    if klass == "projection":
-        ok = _is_projection_spectrum(w, tol)
-        return ok, f"spectrum = {np.round(w, 6).tolist()}"
-    raise ClassViolationError(f"unknown operator class {klass!r}")
+    # projection, the one class left: membership_closure_check refuses any other
+    return _is_projection_spectrum(w, tol), f"spectrum = {np.round(w, 6).tolist()}"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spectralorder as so
-from spectralorder import cli, errors, lattice, limits
+from spectralorder import cli, errors, harness, lattice, limits
 from spectralorder.cli import build_parser, load_document, main, matrices_to_document
 
 
@@ -350,14 +350,19 @@ class TestVerify:
         assert main(["verify", "bogus_suite"]) == 2
 
     def test_env_var_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_LATTICE_SEED", "123")
-        _, rep_env = run(capsys, "verify", "order_laws", "--dim", "3", "--cases", "2")
-        monkeypatch.delenv("SPECTRAL_LATTICE_SEED")
-        _, rep_flag = run(
-            capsys, "verify", "order_laws", "--dim", "3", "--cases", "2", "--seed", "123"
-        )
-        rep_env.pop("timing"), rep_flag.pop("timing")
-        assert rep_env == rep_flag
+        # --seed is the one seed source: the environment is not read
+        monkeypatch.setenv("SPECTRAL_LATTICE_SEED", "9")
+        assert run(capsys, "verify", "order_laws", "--dim", "2", "--cases", "1")[1]["seed"] == 0
+
+    def test_failures_exit_one(self, capsys, monkeypatch):
+        # a supremum off by 1e-3 I breaks idempotence in every case
+        wrong = lambda mats, tol: lattice.spectral_sup(mats, tol) + 1e-3 * so.identity(mats[0].dim)  # noqa: E731
+        monkeypatch.setattr(harness, "spectral_sup", wrong)
+        code, rep = run(capsys, "verify", "order_laws", "--dim", "3", "--cases", "2", "--seed", "7")
+        assert code == 1
+        first = rep["failures"][0]
+        assert set(first) == {"case", "seed", "property", "witness"}
+        assert first["seed"] == so.case_seed(7, first["case"])
 
 
 class TestPipeline:
@@ -392,16 +397,6 @@ class TestPipeline:
             stable.append(json.dumps(report, sort_keys=True, separators=(",", ":")))
         assert stable[0] == stable[1]
 
-    def test_text_no_convergence_report_goes_to_stderr(self, positive_path, capsys, monkeypatch):
-        monkeypatch.setattr(limits, "_MAX_DOUBLINGS", 3)
-        code = main(["limits", "--input", positive_path, "--formula", "kato", "--format", "text"])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.out == ""
-        assert captured.err.startswith("command: limits\nerror:\n")
-        assert "  type: NoConvergence\n" in captured.err
-        assert "\ntiming:\n  wall_time_s: " in captured.err
-
 
 class TestParserReuse:
     """main parses with one parser per process, built on the first call."""
@@ -422,11 +417,10 @@ class TestParserReuse:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
-    def test_flag_seed_does_not_stick(self, capsys, monkeypatch):
+    def test_flag_seed_does_not_stick(self, capsys):
         argv = ["verify", "order_laws", "--dim", "2", "--cases", "1"]
         assert run(capsys, *argv, "--seed", "5")[1]["seed"] == 5
-        monkeypatch.setenv("SPECTRAL_LATTICE_SEED", "9")
-        assert run(capsys, *argv)[1]["seed"] == 9
+        assert run(capsys, *argv)[1]["seed"] == 0
 
     def test_usage_error_leaves_parser_unchanged(self, fixture_path, capsys, monkeypatch):
         built = []
@@ -441,7 +435,7 @@ class TestParserReuse:
 
         first = stable()
         with pytest.raises(SystemExit) as exc:
-            main(["compare", "--input", fixture_path, "--probes", "x"])
+            main(["compare", "--input", fixture_path, "--seed", "x"])
         assert exc.value.code == 2
         capsys.readouterr()
         assert stable() == first
@@ -478,7 +472,7 @@ class TestGen:
 
     @pytest.mark.parametrize("flag", [["--tol-psd", "-1"], ["--format", "text"]])
     def test_report_flags_are_usage_errors(self, capsys, flag):
-        # gen writes a document, so it takes no tolerance or report format
+        # gen writes a document, so it takes no tolerance; no command has --format
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "generic", "--dim", "2", *flag])
         assert exc.value.code == 2
@@ -509,37 +503,32 @@ class TestGen:
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "command, first, seed_var",
+        "command, first",
         [
-            (["limits", "--formula", "kato", "--tol-cluster", "0"], "[[1, 0], [0, 3]]", None),
-            (["limits", "--formula", "kato", "--tol-psd", "-1"], "[[1, 0], [0, 3]]", None),
-            (["compare", "--names", "a,b"], "[[1, 0], [0, 3]]", "seven"),
-            (["compare", "--names", "a,b"], "[[NaN, 0], [0, 3]]", None),
-            (["lattice", "--mode", "sup"], "[[1, 0], [0, Infinity]]", None),
-            (["limits", "--formula", "inverse", "--delta", "1e17"], "[[1, 0], [0, 3]]", None),
-            (["compare", "--names", "a,b", "--tol-psd", "nan"], "[[1, 0], [0, 3]]", None),
-            (["lattice", "--mode", "sup", "--tol-psd", "nan"], "[[1, 0], [0, 3]]", None),
-            (["compare", "--names", "a,b", "--probes", "0"], "[[1, 0], [0, 3]]", None),
-            (["compare", "--names", "a,b", "--probes", "-20"], "[[1, 0], [0, 3]]", None),
-            (["compare", "--names", "a,b"], "[[0, 1.7e308], [-1.7e308, 0]]", None),
-            (["lattice", "--mode", "sup", "--tol-cluster", "inf"], "[[1, 0], [0, 3]]", None),
-            (["compare", "--names", "a,b", "--tol-psd", "inf"], "[[1, 0], [0, 3]]", None),
+            (["limits", "--formula", "kato", "--tol-cluster", "0"], "[[1, 0], [0, 3]]"),
+            (["limits", "--formula", "kato", "--tol-psd", "-1"], "[[1, 0], [0, 3]]"),
+            (["compare", "--names", "a,b"], "[[NaN, 0], [0, 3]]"),
+            (["lattice", "--mode", "sup"], "[[1, 0], [0, Infinity]]"),
+            (["limits", "--formula", "inverse", "--delta", "1e17"], "[[1, 0], [0, 3]]"),
+            (["compare", "--names", "a,b", "--tol-psd", "nan"], "[[1, 0], [0, 3]]"),
+            (["lattice", "--mode", "sup", "--tol-psd", "nan"], "[[1, 0], [0, 3]]"),
+            (["compare", "--names", "a,b"], "[[0, 1.7e308], [-1.7e308, 0]]"),
+            (["lattice", "--mode", "sup", "--tol-cluster", "inf"], "[[1, 0], [0, 3]]"),
+            (["compare", "--names", "a,b", "--tol-psd", "inf"], "[[1, 0], [0, 3]]"),
         ],
         ids=[
-            "tol_cluster", "tol_psd", "seed_var", "nan", "inf", "huge_delta",
-            "compare_tol_psd_nan", "lattice_tol_psd_nan", "probes_zero", "probes_negative",
+            "tol_cluster", "tol_psd", "nan", "inf", "huge_delta",
+            "compare_tol_psd_nan", "lattice_tol_psd_nan",
             "asymmetry_near_float_max", "lattice_tol_cluster_inf",
             "compare_tol_psd_inf",
         ],
     )
-    def test_exit_two_without_traceback(self, tmp_path, capsys, monkeypatch, command, first, seed_var):
+    def test_exit_two_without_traceback(self, tmp_path, capsys, command, first):
         path = tmp_path / "doc.json"
         path.write_text(
             '{"format_version": "1", "dim": 2, "matrices": ['
             f'{{"name": "a", "re": {first}}}, {{"name": "b", "re": [[2, 0], [0, 2]]}}]}}'
         )
-        if seed_var is not None:
-            monkeypatch.setenv("SPECTRAL_LATTICE_SEED", seed_var)
         code = main([*command, "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -600,14 +589,6 @@ class TestMalformedInput:
         assert errors.NoConvergenceError.exit_code == 4
 
 
-class TestTextFormat:
-    def test_compare_text_output(self, fixture_path, capsys):
-        code = main(["compare", "--input", fixture_path, "--names", "c,d", "--format", "text"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "loewner_leq: True" in out
-
-
 class TestLibraryBoundary:
     MINIMAL_ARGV = {
         "compare": ["--input", "x.json", "--names", "a,b"],
@@ -640,6 +621,19 @@ class TestLibraryBoundary:
         monkeypatch.setattr(cli, "Tolerances", lambda **kw: built.append(kw) or so.Tolerances(**kw))
         assert main(["lattice", "--input", fixture_path, "--mode", "sup", "--tol-psd", "2e-9"]) == 0
         assert built == [{"cluster_tol": so.DEFAULT_TOL.cluster_tol, "psd_tol": 2e-9}]
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("compare", ["--probes", "8"]), ("lattice", ["--format", "text"]), ("verify", ["--format", "json"])],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, command, flag):
+        # a report is always JSON, and compare probes at the library default
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.MINIMAL_ARGV[command], *flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+        assert captured.err.count("error: ") == 1
 
     def test_gen_has_no_tolerance_flags(self):
         assert not set(option_strings("gen")) & set(FLAG_FIELDS)
@@ -741,7 +735,8 @@ class TestScaleFuzz:
 
 
 # Values of the flags the property test draws: zero, negative, non-finite and
-# ordinary ones. ``None`` is a switch given bare.
+# ordinary ones. ``None`` is a switch given bare. No command takes --probes or
+# --format, so they are drawn only as stray flags.
 FLOAT_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-12", "0.5", "1e300")
 INT_VALUES = ("0", "-1", "1", "3", "nan", "inf")
 PROPERTY_VALUES = {
@@ -791,7 +786,7 @@ class TestCliProperty:
         stray = data.draw(st.none() | st.sampled_from(sorted(set(PROPERTY_VALUES) - set(accepted))))
         if stray is not None:
             argv += [stray, "1"]
-        unparsable = any(drawn.get(f) in ("nan", "inf") for f in ("--probes", "--seed"))
+        unparsable = drawn.get("--seed") in ("nan", "inf")
 
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -807,10 +802,7 @@ class TestCliProperty:
             assert code == 2 and "error: " in err, where
             return
         assert code in (0, 2, 3, 4) or (code == 1 and command == "verify"), where
-        if code == 4 and command == "limits" and drawn.get("--format") == "text":  # report on stderr
-            assert out.getvalue() == "" and "\nerror:\n" in err, where
-        else:
-            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), where
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), where
         non_finite = ("nan", "inf", "-inf")
         if any(drawn.get(flag) in non_finite for flag in ("--tol-cluster", "--tol-psd", "--delta")):
             assert code == 2, where

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spectralorder as so
-from spectralorder import core, errors, family, lattice, limits, projections
+from spectralorder import core, errors, family, harness, lattice, limits, projections
 
 
 def h(rows):
@@ -448,6 +448,17 @@ class TestVigierCheck:
         with pytest.raises(errors.NotMonotoneError):
             so.vigier_check([x, y, x])
 
+    def test_every_failure_can_fire(self, monkeypatch):
+        # the first element as the "infimum" of a decreasing chain bounds no
+        # later element, is far from the last, and moves away along the chain
+        chain = so.gen_monotone_chain(3, 3, 4)
+        monkeypatch.setattr(harness, "spectral_inf", lambda mats, tol: mats[0])
+        report = so.vigier_check(chain)
+        assert not report.ok and report.direction == "decreasing"
+        for message in ("limit does not bound element ", "limit differs from last element by ",
+                        "distance to limit increased at step "):
+            assert any(f.startswith(message) for f in report.failures), (message, report.failures)
+
 
 class TestRunSuite:
     @pytest.mark.parametrize("suite", so.SUITE_IDS)
@@ -465,6 +476,16 @@ class TestRunSuite:
     def test_order_laws_pass_at_any_spread(self, spread):
         # the spread sets x's scale, and the antisymmetry distance follows it
         report = so.run_suite("order_laws", so.InstanceSpec(dim=4, seed=7, spectrum_spread=spread), cases=6)
+        assert report.ok, [f.to_dict() for f in report.failures]
+
+    @pytest.mark.parametrize("spread", [1e-9, 1e-6, 1e-3, 0.1, 10.0, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("suite", so.SUITE_IDS)
+    def test_every_suite_passes_at_any_spread(self, suite, spread):
+        # agreement bounds follow the scale of each case's inputs, which the
+        # spread sets; at 1e6 the inputs' eigenvalues agree to about the
+        # cluster width, and at 1e9 rounding at the inputs' scale exceeds an
+        # absolute bound
+        report = so.run_suite(suite, so.InstanceSpec(dim=4, seed=0, spectrum_spread=spread), cases=12)
         assert report.ok, [f.to_dict() for f in report.failures]
 
     @pytest.mark.parametrize("cluster_tol", [1e-14, 1e-6, 1e-4, 1e-3])

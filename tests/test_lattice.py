@@ -27,19 +27,19 @@ P_DIAG = h([[0.5, 0.5], [0.5, 0.5]])
 def dense_lattice(mats, mode, tol=so.DEFAULT_TOL):
     """The paper's definition, independent of lattice_family: every input
     family evaluated at the top of each merged cluster, where it counts the
-    whole cluster, combined by the projection meet (sup) or join (inf), and
-    rebuilt as sum lambda_i (P_i - P_{i-1}), lambda_i the cluster's largest
-    value (sup) or smallest (inf)."""
+    whole cluster, combined by the projection meet, and rebuilt as
+    sum lambda_i (P_i - P_{i-1}), lambda_i the cluster's largest value. The
+    infimum is -sup(-x), so it reads each cluster at its smallest value."""
+    if mode == "inf":
+        return -dense_lattice([-m for m in mats], "sup", tol)
     families = [so.spectral_family_of(m, tol) for m in mats]
     vals = np.sort(np.concatenate([f.breakpoints for f in families]))
     cut = np.flatnonzero(np.diff(vals) > tol.cluster_tol * _scale(np.abs(vals).max()))
-    lows, highs = vals[np.r_[0, cut + 1]], vals[np.r_[cut, vals.size - 1]]
-    combine = so.proj_meet if mode == "sup" else so.proj_join
     out = np.zeros((mats[0].dim,) * 2, dtype=complex)
     prev = np.zeros_like(out)
-    for low, high in zip(lows, highs):
-        p = combine([so.evaluate_at(f, high) for f in families], tol).entries
-        out += (high if mode == "sup" else low) * (p - prev)
+    for high in vals[np.r_[cut, vals.size - 1]]:
+        p = so.proj_meet([so.evaluate_at(f, high) for f in families], tol).entries
+        out += high * (p - prev)
         prev = p
     return out
 
@@ -341,6 +341,9 @@ class TestWithinInputCluster:
         eps = np.finfo(float).eps
         assert so.operator_norm(so.spectral_sup([x]) - (1.0 + 1.5e-8) * so.identity(2)) <= 4 * eps
         assert so.operator_norm(so.spectral_inf([x]) - so.identity(2)) <= 4 * eps
+        # the dense reference agrees at both ends
+        assert np.linalg.norm(dense_lattice([x], "sup") - (1.0 + 1.5e-8) * np.eye(2), 2) <= 4 * eps
+        assert np.linalg.norm(dense_lattice([x], "inf") - np.eye(2), 2) <= 4 * eps
 
 
 class TestCostModel:
